@@ -1,15 +1,14 @@
 """Online meta-learning channel autoencoder simulator and library."""
 
-from .cae import CaeModel, PilotSample, PilotSet, decode, encode, evaluate_ser, one_hot
-from .channel import (FadingProcess, NoiseModel, apply_channel, ar_step,
-                      rayleigh_sample, snr_to_sigma2)
+from .cae import CaeModel, decode, encode, evaluate_ser
+from .channel import FadingProcess, NoiseModel, rayleigh_sample, snr_to_sigma2
 from .harness import (ExperimentConfig, MetricsRecord, efficiency_analysis,
                       export_constellation, parse_config, run_experiment)
 from .metalearn import (MetaConfig, RunConfig, Task, TaskBuffer, buffer_push,
                         inner_adapt, make_pilot_task, meta_train, online_run,
                         outer_meta_step)
 from .numerics import (AdamState, MlpSpec, adam_step, finite_diff_grad,
-                       init_params, mlp_backward, mlp_forward, sgd_step,
+                       init_params, mlp_backward, mlp_forward,
                        softmax_cross_entropy, step_lr)
 
 __version__ = "0.1.0"

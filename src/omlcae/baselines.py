@@ -5,13 +5,14 @@ All CAE baselines consume the exact same Task objects (channels and pilot
 noise) as the meta-learned system, so comparisons are paired per sequence.
 """
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cae import CaeModel, evaluate_ser, one_hot_batch, pipeline_loss_grads
+from .cae import CaeModel, evaluate_ser, pipeline_loss_grads
 from .channel import NoiseModel, awgn, cmul
-from .metalearn import RunConfig, Task, inner_adapt, task_sequence
+from .metalearn import RunConfig, inner_adapt, task_sequence
 
 # Gray map: bit pair (b0, b1) -> unit-energy QPSK point, indexed by 2*b0+b1.
 # 00 -> (+1+j)/sqrt2, 01 -> (-1+j)/sqrt2, 10 -> (+1-j)/sqrt2, 11 -> (-1-j)/sqrt2.
@@ -96,104 +97,86 @@ def qpsk_mle_ser(h: np.ndarray, noise: NoiseModel, shots: int, k: int,
     return float(np.mean(np.any(bit_errors, axis=-1)))
 
 
-@dataclass
-class JointTrainState:
-    """Warm-started parameters plus the stored pilot tasks."""
+def _joint_train(model: CaeModel, theta: np.ndarray, store, iters: int,
+                 lr: float, tasks_per_batch: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """SGD on mixed batches drawn across stored tasks, each row carrying its
+    own task's channel.
 
-    theta: np.ndarray
-    pilot_store: list = field(default_factory=list)
-    capacity: int = None  # None = keep everything
-
-    def push(self, task: Task):
-        self.pilot_store.append(task)
-        if self.capacity is not None and len(self.pilot_store) > self.capacity:
-            self.pilot_store.pop(0)
-
-
-def _joint_train(model: CaeModel, state: JointTrainState, iters: int, lr: float,
-                 tasks_per_batch: int, rng: np.random.Generator) -> np.ndarray:
-    """SGD on mixed batches drawn across stored tasks, each sample carrying
-    its own task's channel."""
-    theta = state.theta
-    store = state.pilot_store
+    A batch concatenates the picked tasks' support then query rows, one
+    one-hot per row.  The store is stacked once per call and indexed per
+    iteration.
+    """
     dtype = theta.dtype
+    eye = np.eye(model.n_messages, dtype=dtype)
+    first = store[0]
+    task_onehot = np.concatenate([
+        np.repeat(eye, len(pilots) // len(eye), axis=0)
+        for pilots in (first.support, first.query)])
+    noise = np.stack([np.concatenate([t.support, t.query])
+                      for t in store]).astype(dtype, copy=False)
+    h = np.stack([np.broadcast_to(t.h, noise.shape[1:])
+                  for t in store]).astype(dtype, copy=False)
+    n_pick = min(tasks_per_batch, len(store))
+    onehot = np.tile(task_onehot, (n_pick, 1))
+    d = noise.shape[-1]
     for _ in range(iters):
-        n_pick = min(tasks_per_batch, len(store))
         idx = rng.choice(len(store), size=n_pick, replace=False)
-        onehots, noises, hs = [], [], []
-        for i in idx:
-            t = store[i]
-            for ps in (t.support, t.query):
-                onehots.append(one_hot_batch(ps.messages, model.n_messages,
-                                             dtype=dtype))
-                noises.append(ps.noise.astype(dtype, copy=False))
-                hs.append(np.broadcast_to(t.h, ps.noise.shape))
-        onehot = np.concatenate(onehots)
-        noise = np.concatenate(noises)
-        h = np.concatenate(hs).astype(dtype, copy=False)
-        _, grads = pipeline_loss_grads(model, theta, onehot, noise, h)
+        _, grads = pipeline_loss_grads(model, theta, onehot,
+                                       noise[idx].reshape(-1, d),
+                                       h[idx].reshape(-1, d))
         theta = theta - lr * grads
     return theta
 
 
-def baseline_cae_sequence(model: CaeModel, mode: str, state, task: Task,
-                          train_iters: int, lr: float, rng: np.random.Generator,
-                          n_eval: int, eval_rng: np.random.Generator,
-                          joint_iters: int = 0, tasks_per_batch: int = 5):
-    """One sequence of the scratch or joint CAE baseline; returns (ser, state).
-
-    scratch: fresh init, train_iters SGD steps on the support set, evaluate.
-    joint:   push the task, train the warm-started parameters on mixed
-             batches over all stored pilots, fine-tune a copy on the current
-             support, evaluate; the jointly trained parameters carry forward.
-    """
-    noise = NoiseModel(task.sigma2)
-    if mode == "scratch":
-        theta = model.init_like(rng)
-        theta = inner_adapt(model, theta, task, train_iters, lr)
-        ser = evaluate_ser(model, task.h, noise, n_eval, eval_rng, theta=theta)
-        return ser, state
-    if mode == "joint":
-        state.push(task)
-        state.theta = _joint_train(model, state, joint_iters, lr,
-                                   tasks_per_batch, rng)
-        theta_ft = inner_adapt(model, state.theta, task, train_iters, lr)
-        ser = evaluate_ser(model, task.h, noise, n_eval, eval_rng, theta=theta_ft)
-        return ser, state
-    raise ValueError(f"unknown baseline mode {mode!r}")
-
-
 def run_scratch_cae(cfg: RunConfig, model: CaeModel = None):
-    """Scratch-CAE over the shared task sequence; returns [(sequence, ser)]."""
+    """Scratch-CAE over the shared task sequence; returns [(sequence, ser)].
+
+    Per sequence: fresh init, finetune_iters SGD steps on the support set,
+    evaluate.
+    """
     if model is None:
         model = cfg.build_model()
+    noise = NoiseModel(cfg.sigma2)
     results = []
     for i, h, task in task_sequence(cfg, model):
-        ser, _ = baseline_cae_sequence(
-            model, "scratch", None, task, cfg.meta.finetune_iters,
-            cfg.meta.inner_lr, cfg.substream("scratch-init", cfg.snr_db,
-                                             cfg.shots, i),
-            cfg.n_eval, cfg.cell_substream("eval", i))
+        theta = model.init_like(cfg.substream("scratch-init", cfg.snr_db,
+                                              cfg.shots, i))
+        theta = inner_adapt(model, theta, task, cfg.meta.finetune_iters,
+                            cfg.meta.inner_lr)
+        ser = evaluate_ser(model, h, noise, cfg.n_eval,
+                           cfg.cell_substream("eval", i), theta=theta)
         results.append((i, ser))
     return results
 
 
 def run_joint_cae(cfg: RunConfig, model: CaeModel = None,
                   store_capacity: int = None, joint_iters: int = None):
-    """Joint-CAE over the shared task sequence; returns [(sequence, ser)]."""
+    """Joint-CAE over the shared task sequence; returns [(sequence, ser)].
+
+    Per sequence: store the task (the oldest drops out past store_capacity;
+    None keeps all), train the warm-started parameters on mixed batches over
+    the stored pilots, fine-tune a copy on the current support, evaluate.
+    The jointly trained parameters carry forward.
+    """
     if model is None:
         model = cfg.build_model()
     if joint_iters is None:
         joint_iters = cfg.meta.outer_iters  # compute parity with meta-training
-    state = JointTrainState(theta=model.params.copy(), capacity=store_capacity)
+    theta = model.params.copy()
+    store = deque(maxlen=store_capacity)
     sample_rng = cfg.cell_substream("joint-sample")
+    noise = NoiseModel(cfg.sigma2)
     results = []
     for i, h, task in task_sequence(cfg, model):
-        ser, state = baseline_cae_sequence(
-            model, "joint", state, task, cfg.meta.finetune_iters,
-            cfg.meta.inner_lr, sample_rng, cfg.n_eval,
-            cfg.cell_substream("eval", i), joint_iters=joint_iters,
-            tasks_per_batch=cfg.meta.tasks_per_update)
+        store.append(task)
+        theta = _joint_train(model, theta, store, joint_iters,
+                             cfg.meta.inner_lr, cfg.meta.tasks_per_update,
+                             sample_rng)
+        theta_ft = inner_adapt(model, theta, task, cfg.meta.finetune_iters,
+                               cfg.meta.inner_lr)
+        ser = evaluate_ser(model, h, noise, cfg.n_eval,
+                           cfg.cell_substream("eval", i), theta=theta_ft)
         results.append((i, ser))
     return results
 

@@ -3,12 +3,17 @@ decoding to message probabilities, end-to-end loss/gradient through the
 simulated channel, and Monte-Carlo SER evaluation.
 
 Backbone architecture (hidden width 256 by default):
-    encoder: 2^k -> 256 -> 256 -> 2*n_ch
+    encoder: 2^k -> 256 -> 256 -> 2*n_ch (linear)
     decoder: 2*n_ch -> 256 -> 256 -> 256 -> 2^k (softmax)
 
 Messages are 1-based symbols m in {1, ..., 2^k}.  Encoder and decoder
 parameters are concatenated into one flat vector with a fixed split point so
-the whole system trains as a single parameter vector.
+the whole system trains as a single parameter vector.  Codewords are scaled
+to unit mean power per complex channel use over the batch.
+
+Pilots are stored as their noise draws only, in one layout: a block of
+2^k * shots rows, row r carrying message r // shots + 1.  pilot_batch turns
+such a block (or a stack of them) into pipeline_loss_grads inputs.
 """
 
 from dataclasses import dataclass
@@ -16,43 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import NoiseModel, awgn, cmul, cmul_conj
-from .numerics import (ACT_LEAKY, ACT_LINEAR, ACT_SOFTMAX, MlpSpec, init_params,
-                       mlp_backward, mlp_forward, softmax)
+from .numerics import ACT_SOFTMAX, MlpSpec, init_params, mlp_backward, mlp_forward
 
-NORM_BATCH = "batch"
-NORM_EXAMPLE = "example"
 # guards the power-normalization sqrt at all-zero output; small enough that
 # the relative power error eps/energy stays below 1e-9 for any realistic
 # batch, yet still a normal number in float32
 NORM_EPS = 1e-30
-
-
-@dataclass
-class PilotSample:
-    """One labeled pilot: the message sent and the realized channel noise.
-
-    The noise (not the received signal) is stored so the pilot can be
-    re-encoded under evolving encoder parameters with the noise replayed.
-    """
-
-    message: int
-    noise_draw: np.ndarray
-
-
-@dataclass
-class PilotSet:
-    """Column-oriented batch of pilot samples."""
-
-    messages: np.ndarray    # (B,) ints, 1-based
-    noise: np.ndarray       # (B, 2*n_ch)
-
-    def __len__(self):
-        return len(self.messages)
-
-    @classmethod
-    def from_samples(cls, samples) -> "PilotSet":
-        return cls(messages=np.array([s.message for s in samples], dtype=np.int64),
-                   noise=np.stack([s.noise_draw for s in samples]))
 
 
 @dataclass
@@ -62,20 +36,18 @@ class CaeModel:
     encoder_spec: MlpSpec
     decoder_spec: MlpSpec
     params: np.ndarray
-    norm: str = NORM_BATCH
 
     @classmethod
     def build(cls, k: int, n_ch: int, rng: np.random.Generator, hidden: int = 256,
-              dtype=np.float64, norm: str = NORM_BATCH,
-              encoder_output: str = ACT_LINEAR) -> "CaeModel":
+              dtype=np.float64) -> "CaeModel":
         m = 2 ** k
-        enc = MlpSpec((m, hidden, hidden, 2 * n_ch), output_activation=encoder_output)
+        enc = MlpSpec((m, hidden, hidden, 2 * n_ch))
         dec = MlpSpec((2 * n_ch, hidden, hidden, hidden, m),
                       output_activation=ACT_SOFTMAX)
         theta = np.concatenate([init_params(enc, rng, dtype=dtype),
                                 init_params(dec, rng, dtype=dtype)])
         return cls(k=k, n_ch=n_ch, encoder_spec=enc, decoder_spec=dec,
-                   params=theta, norm=norm)
+                   params=theta)
 
     @property
     def n_messages(self) -> int:
@@ -89,24 +61,10 @@ class CaeModel:
     def n_params(self) -> int:
         return self.encoder_spec.n_params + self.decoder_spec.n_params
 
-    def with_params(self, theta: np.ndarray) -> "CaeModel":
-        return CaeModel(k=self.k, n_ch=self.n_ch, encoder_spec=self.encoder_spec,
-                        decoder_spec=self.decoder_spec, params=theta, norm=self.norm)
-
     def init_like(self, rng: np.random.Generator) -> np.ndarray:
         dtype = self.params.dtype
         return np.concatenate([init_params(self.encoder_spec, rng, dtype=dtype),
                                init_params(self.decoder_spec, rng, dtype=dtype)])
-
-
-def one_hot(m: int, k: int) -> np.ndarray:
-    """One-hot vector of message m in {1, ..., 2^k}."""
-    n = 2 ** k
-    if not 1 <= m <= n:
-        raise ValueError(f"message {m} out of range 1..{n}")
-    v = np.zeros(n)
-    v[m - 1] = 1.0
-    return v
 
 
 def one_hot_batch(messages: np.ndarray, n_messages: int, dtype=np.float64) -> np.ndarray:
@@ -116,38 +74,27 @@ def one_hot_batch(messages: np.ndarray, n_messages: int, dtype=np.float64) -> np
     return np.eye(n_messages, dtype=dtype)[idx]
 
 
-def normalize_power(raw: np.ndarray, n_ch: int, norm: str = NORM_BATCH,
-                    repeats: int = 1):
+def normalize_power(raw: np.ndarray, n_ch: int, repeats: int = 1):
     """Scale raw encoder outputs so mean power per complex use is 1.
 
-    Batch mode uses a single scalar over the whole batch (the default,
-    matching an average-power constraint); example mode normalizes each
-    codeword individually.  repeats > 1 means each row is transmitted that
-    many times, so the batch energy counts each row repeats times.
-    Returns (x, scale, energy) for the backward pass.
+    One scalar covers the whole batch (an average-power constraint).
+    repeats > 1 means each row is transmitted that many times, so the batch
+    energy counts each row repeats times.  Returns (x, scale, energy) for the
+    backward pass.
     """
-    if norm == NORM_BATCH:
-        energy = repeats * np.sum(raw * raw, axis=(-1, -2), keepdims=True) + NORM_EPS
-        batch = raw.shape[-2] * repeats
-        scale = np.sqrt(batch * n_ch / energy)
-    elif norm == NORM_EXAMPLE:
-        energy = np.sum(raw * raw, axis=-1, keepdims=True) + NORM_EPS
-        scale = np.sqrt(n_ch / energy)
-    else:
-        raise ValueError(f"unknown norm mode {norm!r}")
+    energy = repeats * np.sum(raw * raw, axis=(-1, -2), keepdims=True) + NORM_EPS
+    batch = raw.shape[-2] * repeats
+    scale = np.sqrt(batch * n_ch / energy)
     return raw * scale, scale, energy
 
 
-def _normalize_backward(g_x, raw, scale, energy, norm, repeats: int = 1):
+def _normalize_backward(g_x, raw, scale, energy, repeats: int = 1):
     # x = c(raw) * raw with c = sqrt(K / E); dL/draw = c*g - (c/E)*raw*sum(g*raw)
-    # with repeats > 1, g_x must already be summed over the repeat groups; in
-    # batch mode the global energy-correction term then recurs once per
-    # duplicate row, hence the extra repeats factor
-    if norm == NORM_BATCH:
-        inner = np.sum(g_x * raw, axis=(-1, -2), keepdims=True)
-        return scale * g_x - (repeats * scale / energy) * raw * inner
-    inner = np.sum(g_x * raw, axis=-1, keepdims=True)
-    return scale * g_x - (scale / energy) * raw * inner
+    # with repeats > 1, g_x must already be summed over the repeat groups; the
+    # global energy-correction term then recurs once per duplicate row, hence
+    # the extra repeats factor
+    inner = np.sum(g_x * raw, axis=(-1, -2), keepdims=True)
+    return scale * g_x - (repeats * scale / energy) * raw * inner
 
 
 def encode(model: CaeModel, messages, theta: np.ndarray = None) -> np.ndarray:
@@ -158,7 +105,7 @@ def encode(model: CaeModel, messages, theta: np.ndarray = None) -> np.ndarray:
         raise ValueError("empty message batch")
     onehot = one_hot_batch(msgs, model.n_messages, dtype=theta.dtype)
     raw, _ = mlp_forward(model.encoder_spec, theta[..., :model.split], onehot)
-    x, _, _ = normalize_power(raw, model.n_ch, model.norm)
+    x, _, _ = normalize_power(raw, model.n_ch)
     return x
 
 
@@ -180,10 +127,24 @@ def codebook(model: CaeModel, theta: np.ndarray = None) -> np.ndarray:
     return encode(model, np.arange(1, model.n_messages + 1), theta=theta)
 
 
-def _as_pilot_set(pilots) -> PilotSet:
-    if isinstance(pilots, PilotSet):
-        return pilots
-    return PilotSet.from_samples(list(pilots))
+def pilot_batch(model: CaeModel, noise: np.ndarray, h: np.ndarray, dtype):
+    """pipeline_loss_grads inputs (onehot, noise, h, repeats) for pilots.
+
+    noise is one task's pilot noise, (2^k * shots, 2n), or a stack of T
+    tasks' blocks, (T, 2^k * shots, 2n), with h (2n,) or (T, 2n) to match.
+    Row r of a block carries message r // shots + 1, so the one-hots are the
+    2^k distinct messages once and repeats = shots: the encoder runs on 2^k
+    rows, not 2^k * shots.
+    """
+    m = model.n_messages
+    rows = noise.shape[-2]
+    if rows == 0 or rows % m:
+        raise ValueError(f"pilot block of {rows} rows is not 2^k * shots "
+                         f"with 2^k = {m}")
+    h = np.asarray(h).astype(dtype, copy=False)
+    if noise.ndim == 3:
+        h = h[:, None, :]
+    return np.eye(m, dtype=dtype), noise.astype(dtype, copy=False), h, rows // m
 
 
 def pipeline_loss_grads(model: CaeModel, theta: np.ndarray, onehot: np.ndarray,
@@ -210,8 +171,7 @@ def pipeline_loss_grads(model: CaeModel, theta: np.ndarray, onehot: np.ndarray,
     d = 2 * model.n_ch
 
     raw, enc_cache = mlp_forward(enc_spec, theta[..., :split], onehot)
-    x, scale, energy = normalize_power(raw, model.n_ch, model.norm,
-                                       repeats=repeats)
+    x, scale, energy = normalize_power(raw, model.n_ch, repeats=repeats)
     if repeats > 1:
         x_full = np.repeat(x, repeats, axis=-2)
         labels = np.repeat(onehot, repeats, axis=-2)
@@ -243,33 +203,28 @@ def pipeline_loss_grads(model: CaeModel, theta: np.ndarray, onehot: np.ndarray,
     else:
         grads = np.empty(grad_lead + (model.n_params,), dtype=probs.dtype)
     _, g_y = mlp_backward(dec_spec, theta[..., split:], dec_cache,
-                          g_logits, grad_wrt="logits", out=grads[..., split:],
-                          reduce_lead=reduce)
+                          g_logits, out=grads[..., split:], reduce_lead=reduce)
     g_x = cmul_conj(h, g_y)
     if repeats > 1:
         # collapse the repeat groups; the encoder saw each row once
         g_x = g_x.reshape(g_x.shape[:-2] + (-1, repeats, d)).sum(axis=-2)
-    g_raw = _normalize_backward(g_x, raw, scale, energy, model.norm,
-                                repeats=repeats)
+    g_raw = _normalize_backward(g_x, raw, scale, energy, repeats=repeats)
     mlp_backward(enc_spec, theta[..., :split], enc_cache, g_raw,
                  out=grads[..., :split], reduce_lead=reduce)
     return loss, grads
 
 
-def loss_and_grads(model: CaeModel, pilots, h: np.ndarray,
+def loss_and_grads(model: CaeModel, pilots: np.ndarray, h: np.ndarray,
                    theta: np.ndarray = None):
-    """Mean cross-entropy over pilot samples and its exact gradient.
+    """Mean cross-entropy over one task's pilots and its exact gradient.
 
-    pilots may be a PilotSet or a list of PilotSample; h is the (fixed)
-    channel realization of length 2*n_ch, or per-sample (B, 2*n_ch).
+    pilots is the pilot noise block (2^k * shots, 2*n_ch) laid out as in
+    pilot_batch; h is the (fixed) channel realization of length 2*n_ch.
     """
     theta = model.params if theta is None else theta
-    ps = _as_pilot_set(pilots)
-    if len(ps) == 0:
-        raise ValueError("pilot set is empty")
-    onehot = one_hot_batch(ps.messages, model.n_messages, dtype=theta.dtype)
-    loss, grads = pipeline_loss_grads(model, theta, onehot,
-                                      ps.noise.astype(theta.dtype, copy=False), h)
+    onehot, noise, h, repeats = pilot_batch(model, pilots, h, theta.dtype)
+    loss, grads = pipeline_loss_grads(model, theta, onehot, noise, h,
+                                      repeats=repeats)
     return float(loss), grads
 
 

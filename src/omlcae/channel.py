@@ -96,26 +96,3 @@ class FadingProcess:
             self.current_h = (self.rho * self.current_h
                               + np.sqrt(1.0 - self.rho ** 2) * innovation)
         return self.current_h.copy()
-
-
-def ar_step(process: FadingProcess) -> np.ndarray:
-    return process.step()
-
-
-def apply_channel(h: np.ndarray, x: np.ndarray, noise: NoiseModel,
-                  rng: np.random.Generator):
-    """y = h*x + n per channel use.  Returns (y, noise_draw) so the realized
-    noise can be stored and replayed during adaptation."""
-    if h.shape[-1] != x.shape[-1]:
-        raise ValueError(f"length mismatch: h {h.shape} vs x {x.shape}")
-    n_uses = x.shape[-1] // 2
-    size = x.shape[:-1] if x.ndim > 1 else None
-    noise_draw = awgn(rng, n_uses, noise.sigma2, size=size, dtype=x.dtype)
-    y = cmul(h, x) + noise_draw
-    return y, noise_draw
-
-
-def apply_channel_fixed(h: np.ndarray, x: np.ndarray,
-                        noise_draw: np.ndarray) -> np.ndarray:
-    """Replay the channel with a stored noise realization (bitwise reproducible)."""
-    return cmul(h, x) + noise_draw

@@ -57,8 +57,6 @@ PROFILES = {
                  n_eval=4000, hidden=64, adapt_steps=10, dtype="float64",
                  query_shots=1, outer_lr=1e-3, outer_rule="reptile"),
 }
-_META_FIELDS = frozenset(f.name for f in fields(MetaConfig))
-
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
@@ -101,6 +99,12 @@ class ExperimentConfig:
             raise ValueError("n_eval and n_sequences must be >= 1")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must be in [0, 1]")
+        if self.query_shots is not None and self.query_shots < 1:
+            raise ValueError("query_shots must be >= 1 when set")
+        if self.joint_store_capacity is not None and self.joint_store_capacity < 1:
+            raise ValueError("joint_store_capacity must be >= 1 when set")
+        if self.warmup < 0:
+            raise ValueError("warmup must be >= 0")
         self.meta.validate()
 
     def run_config(self, snr_db: float, shots: int) -> RunConfig:
@@ -114,7 +118,7 @@ class ExperimentConfig:
 def _profile_fields(profile: str, skip=()):
     """(experiment fields, meta fields) a profile sets, minus those in skip."""
     p = {k: v for k, v in PROFILES[profile].items() if k not in skip}
-    meta = {k: v for k, v in p.items() if k in _META_FIELDS}
+    meta = {k: v for k, v in p.items() if k in _META_KEYS}
     return {k: v for k, v in p.items() if k not in meta}, meta
 
 
@@ -134,19 +138,15 @@ class MetricsRecord:
     seed: int
 
 
-_RUNNERS = {
-    "cae": run_scratch_cae,
-    "qpsk_mle": run_qpsk_mle,
-}
-
-
 def _run_cell(cfg: ExperimentConfig, method: str, snr_db: float, shots: int):
     rc = cfg.run_config(snr_db, shots)
     if method == "oml_cae":
         return [(r.sequence, r.ser_after_adapt) for r in online_run(rc)]
+    if method == "cae":
+        return run_scratch_cae(rc)
     if method == "joint_cae":
         return run_joint_cae(rc, store_capacity=cfg.joint_store_capacity)
-    return _RUNNERS[method](rc)
+    return run_qpsk_mle(rc)
 
 
 def run_experiment(cfg: ExperimentConfig, write: bool = True):
@@ -330,12 +330,7 @@ _EXPERIMENT_KEYS = {
     "shots": lambda s: tuple(int(v) for v in s.split(",")),
     "methods": lambda s: tuple(v.strip() for v in s.split(",")),
 }
-_META_KEYS = {
-    "inner_lr": float, "outer_lr": float, "adapt_steps": int,
-    "outer_iters": int, "tasks_per_update": int, "lr_step_size": int,
-    "lr_gamma": float, "finetune_iters": int, "buffer_capacity": int,
-    "outer_rule": str,
-}
+_META_KEYS = {f.name: f.type for f in fields(MetaConfig)}
 
 
 def parse_config(path: str = None, overrides: dict = None) -> ExperimentConfig:

@@ -2,9 +2,11 @@
 protocol.
 
 One task = one channel realization's pilot data (balanced support and query
-sets).  Meta-training adapts each sampled task on its support set, then
-updates the meta-initialization theta with Adam on one of two first-order
-meta-gradients, chosen by MetaConfig.outer_rule:
+sets).  Every fixed-batch SGD loop -- the deployment fine-tune, the scratch
+and joint CAE fine-tunes, the support adaptation inside the meta step --
+runs through run_sgd.  Meta-training adapts each sampled task on its support
+set, then updates the meta-initialization theta with Adam on one of two
+first-order meta-gradients, chosen by MetaConfig.outer_rule:
 
     "fomaml"   first-order MAML: the query-set gradient at the task-adapted
                parameters phi_T, second-order terms dropped
@@ -27,50 +29,44 @@ rate schedule continue across sequences.
 """
 
 import hashlib
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import rng as rngmod
-from .cae import CaeModel, PilotSet, evaluate_ser, one_hot_batch, pipeline_loss_grads
-from .channel import FadingProcess, NoiseModel, awgn
+from .cae import CaeModel, evaluate_ser, pilot_batch, pipeline_loss_grads
+from .channel import FadingProcess, NoiseModel, awgn, snr_to_sigma2
 from .numerics import AdamState, adam_step_inplace, step_lr
 
 
 @dataclass
 class Task:
-    """Pilot data for one channel realization."""
+    """Pilot data for one channel realization.
+
+    support and query hold only the pilot noise, shape (2^k * shots, 2*n_ch)
+    with the query's own shot count: row r carries message r // shots + 1
+    (see cae.pilot_batch).
+    """
 
     h: np.ndarray           # (2*n_ch,)
-    support: PilotSet
-    query: PilotSet
+    support: np.ndarray
+    query: np.ndarray
     sigma2: float
 
 
-class TaskBuffer:
-    """Bounded FIFO of tasks; pushing past capacity evicts the oldest."""
+class TaskBuffer(deque):
+    """Bounded FIFO of tasks; appending past capacity evicts the oldest."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        self.capacity = int(capacity)
-        self.entries = []
-
-    def push(self, task: Task) -> "TaskBuffer":
-        self.entries.append(task)
-        if len(self.entries) > self.capacity:
-            self.entries.pop(0)
-        return self
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
+        super().__init__(maxlen=int(capacity))
 
 
 def buffer_push(buffer: TaskBuffer, task: Task) -> TaskBuffer:
-    return buffer.push(task)
+    buffer.append(task)
+    return buffer
 
 
 OUTER_RULES = ("fomaml", "reptile")
@@ -91,10 +87,12 @@ class MetaConfig:
 
     def validate(self):
         for name in ("inner_lr", "outer_lr", "adapt_steps", "outer_iters",
-                     "tasks_per_update", "lr_step_size", "finetune_iters",
-                     "buffer_capacity"):
+                     "finetune_iters"):
             if getattr(self, name) < 0:
                 raise ValueError(f"MetaConfig.{name} must be non-negative")
+        for name in ("tasks_per_update", "lr_step_size", "buffer_capacity"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"MetaConfig.{name} must be >= 1")
         if self.outer_rule not in OUTER_RULES:
             raise ValueError(f"MetaConfig.outer_rule must be one of "
                              f"{OUTER_RULES}, got {self.outer_rule!r}")
@@ -105,126 +103,90 @@ def make_pilot_task(model: CaeModel, h: np.ndarray, sigma2: float, shots: int,
     """Draw support and query pilot noise for every message.
 
     Support noise is drawn first, then query noise, so the task is fully
-    determined by the rng stream state.  Only the noise is stored: adaptation
-    re-encodes the pilots under the evolving encoder with the noise replayed.
+    determined by the rng stream state.  Only the noise is stored, in the
+    layout of Task: adaptation re-encodes the pilots under the evolving
+    encoder with the noise replayed.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     query_shots = shots if query_shots is None else query_shots
-    m = model.n_messages
     dtype = model.params.dtype
-
-    def draw(n_shots):
-        messages = np.repeat(np.arange(1, m + 1), n_shots)
-        noise = awgn(rng, model.n_ch, sigma2, size=len(messages), dtype=dtype)
-        return PilotSet(messages=messages, noise=noise)
-
-    return Task(h=np.asarray(h, dtype=dtype), support=draw(shots),
-                query=draw(query_shots), sigma2=float(sigma2))
-
-
-def _pilot_batch(messages: np.ndarray, n_messages: int, dtype):
-    """One-hot inputs for a pilot batch, deduplicated when possible.
-
-    Returns (onehot, repeats).  When the messages are the canonical pattern
-    (every message repeated a fixed number of times, grouped), the one-hots
-    cover the distinct messages only and repeats carries the multiplicity, so
-    the encoder runs on 2^k rows instead of 2^k * shots.
-    """
-    b = len(messages)
-    if b % n_messages == 0:
-        r = b // n_messages
-        canonical = np.repeat(np.arange(1, n_messages + 1), r)
-        if np.array_equal(messages, canonical):
-            return np.eye(n_messages, dtype=dtype), r
-    return one_hot_batch(messages, n_messages, dtype=dtype), 1
+    m = model.n_messages
+    support = awgn(rng, model.n_ch, sigma2, size=m * shots, dtype=dtype)
+    query = awgn(rng, model.n_ch, sigma2, size=m * query_shots, dtype=dtype)
+    return Task(h=np.asarray(h, dtype=dtype), support=support, query=query,
+                sigma2=float(sigma2))
 
 
 def _stack_tasks(model: CaeModel, tasks, which: str, dtype):
-    """Stack same-shape task pilot sets into batched arrays for stacked grads.
+    """Stack the tasks' support or query pilots for stacked gradients.
 
-    Returns (onehot, noise, h, repeats) with noise (T, B, 2n), h (T, 1, 2n)
-    and onehot shared across tasks when every task carries the canonical
-    repeated-message pilot pattern.
+    Returns pilot_batch's (onehot, noise, h, repeats) with noise (T, B, 2n),
+    h (T, 1, 2n) and the one-hots shared across tasks.
     """
-    sets = [getattr(t, which) for t in tasks]
-    first = sets[0].messages
-    if all(np.array_equal(s.messages, first) for s in sets[1:]):
-        onehot, repeats = _pilot_batch(first, model.n_messages, dtype)
-    else:
-        onehot = np.stack([one_hot_batch(s.messages, model.n_messages, dtype=dtype)
-                           for s in sets])
-        repeats = 1
-    noise = np.stack([s.noise.astype(dtype, copy=False) for s in sets])
-    h = np.stack([t.h.astype(dtype, copy=False) for t in tasks])[:, None, :]
-    return onehot, noise, h, repeats
+    return pilot_batch(model, np.stack([getattr(t, which) for t in tasks]),
+                       np.stack([t.h for t in tasks]), dtype)
+
+
+def run_sgd(model: CaeModel, theta: np.ndarray, batch, steps: int, lr: float,
+            buffers: dict = None) -> np.ndarray:
+    """steps full-batch SGD steps of the pipeline loss from theta.
+
+    batch is a pilot_batch tuple for one task or a stack of T tasks; theta is
+    (P,), adapted as one copy per stacked task, or (T, P).  Gradients go into
+    two rotating arrays, buffers[0] and buffers[1], so a step never writes
+    into the parameters it differentiates and theta is never written.
+    lr == 0 returns theta itself, which the steps would reproduce exactly.
+    """
+    if lr == 0:
+        return theta
+    onehot, noise, h, repeats = batch
+    buffers = {} if buffers is None else buffers
+    neg_lr = theta.dtype.type(-lr)
+    for step in range(steps):
+        _, grads = pipeline_loss_grads(model, theta, onehot, noise, h,
+                                       want_loss=False, repeats=repeats,
+                                       grads_out=buffers.get(step % 2))
+        buffers[step % 2] = grads
+        grads *= neg_lr
+        grads += theta  # broadcasts a (P,) theta over a stack
+        theta = grads
+    return theta
 
 
 def inner_adapt(model: CaeModel, theta: np.ndarray, task: Task, steps: int,
                 alpha: float) -> np.ndarray:
     """Full-batch SGD on the task's support loss; returns a new vector."""
-    theta = theta.copy()
-    onehot, repeats = _pilot_batch(task.support.messages, model.n_messages,
-                                   theta.dtype)
-    noise = task.support.noise.astype(theta.dtype, copy=False)
-    alpha = theta.dtype.type(alpha)
-    for _ in range(steps):
-        _, grads = pipeline_loss_grads(model, theta, onehot, noise, task.h,
-                                       want_loss=False, repeats=repeats)
-        grads *= -alpha
-        grads += theta
-        theta = grads
-    return theta
+    batch = pilot_batch(model, task.support, task.h, theta.dtype)
+    return run_sgd(model, theta.copy(), batch, steps, alpha)
 
 
 def _outer_step_stacked(model: CaeModel, theta: np.ndarray, support,
                         query, config: MetaConfig,
-                        adam_state: AdamState, lr: float, buffers=None):
+                        adam_state: AdamState, lr: float, buffers: dict):
     """One meta-update from pre-stacked task batches.
 
-    support and query are (onehot, noise, h, repeats) tuples as produced by
-    _stack_tasks.  Adapt theta per task on the support set (adapt_steps SGD
-    steps at inner_lr) to phi_T, then Adam-update theta on the meta-gradient
-    that config.outer_rule selects: the mean query-set gradient at phi_T
+    support and query are pilot_batch tuples as produced by _stack_tasks.
+    Adapt theta per task on the support set (adapt_steps SGD steps at
+    inner_lr) to phi_T, then Adam-update theta on the meta-gradient that
+    config.outer_rule selects: the mean query-set gradient at phi_T
     ("fomaml"), or theta - mean_T phi_T ("reptile", no query pass).
-    buffers, when given, is a dict of reusable gradient arrays keyed by
-    shape (hot-loop allocation reuse; contents are overwritten).
+    buffers is a dict of reusable arrays (hot-loop allocation reuse;
+    contents are overwritten).
     """
-    dtype = theta.dtype
-    sup_onehot, sup_noise, sup_h, sup_rep = support
-    qry_onehot, qry_noise, qry_h, qry_rep = query
-    buffers = {} if buffers is None else buffers
-
-    def buf(key, shape):
-        arr = buffers.get(key)
-        if arr is None:
-            arr = buffers[key] = np.empty(shape, dtype=dtype)
-        return arr
-
-    adapted = theta
-    if config.inner_lr != 0:  # alpha = 0 adapts to theta itself, exactly
-        for step in range(config.adapt_steps):
-            # two rotating buffers: never write grads into the array that
-            # currently holds the adapted parameters being differentiated
-            grads = buf(("sup", step % 2),
-                        (len(sup_noise), theta.shape[-1]))
-            _, grads = pipeline_loss_grads(model, adapted, sup_onehot, sup_noise,
-                                           sup_h, want_loss=False,
-                                           repeats=sup_rep, grads_out=grads)
-            grads *= dtype.type(-config.inner_lr)
-            grads += adapted  # broadcasts theta to (T, P)
-            adapted = grads
-
-    meta_grad = buf(("meta",), (theta.shape[-1],))
+    adapted = run_sgd(model, theta, support, config.adapt_steps,
+                      config.inner_lr, buffers)
     if config.outer_rule == "reptile":
         # theta - mean_T phi_T; adapted is theta itself when nothing adapted
         phi_mean = adapted.mean(axis=0) if adapted.ndim > 1 else adapted
-        np.subtract(theta, phi_mean, out=meta_grad)
+        meta_grad = np.subtract(theta, phi_mean, out=buffers.get("meta"))
     else:
+        qry_onehot, qry_noise, qry_h, qry_rep = query
         _, meta_grad = pipeline_loss_grads(model, adapted, qry_onehot,
                                            qry_noise, qry_h, want_loss=False,
                                            repeats=qry_rep, mean_grads=True,
-                                           grads_out=meta_grad)
+                                           grads_out=buffers.get("meta"))
+    buffers["meta"] = meta_grad
     theta_out = buffers.pop("theta_out", None)
     return adam_step_inplace(adam_state, theta, meta_grad, lr, out=theta_out)
 
@@ -245,7 +207,7 @@ def outer_meta_step(model: CaeModel, theta: np.ndarray, tasks, config: MetaConfi
     support = _stack_tasks(model, tasks, "support", dtype)
     query = _stack_tasks(model, tasks, "query", dtype)
     return _outer_step_stacked(model, theta, support, query,
-                               config, adam_state, lr)
+                               config, adam_state, lr, {})
 
 
 def meta_train(model: CaeModel, theta: np.ndarray, buffer: TaskBuffer,
@@ -267,13 +229,10 @@ def meta_train(model: CaeModel, theta: np.ndarray, buffer: TaskBuffer,
         adam = AdamState.fresh(theta.shape[-1], dtype=theta.dtype)
     # the buffer is fixed for the whole call, so stack every task once and
     # index the stacks per iteration instead of restacking
-    tasks = [buffer[i] for i in range(n)]
-    sup_onehot, sup_noise, sup_h, sup_rep = _stack_tasks(model, tasks,
+    sup_onehot, sup_noise, sup_h, sup_rep = _stack_tasks(model, buffer,
                                                          "support", theta.dtype)
-    qry_onehot, qry_noise, qry_h, qry_rep = _stack_tasks(model, tasks,
+    qry_onehot, qry_noise, qry_h, qry_rep = _stack_tasks(model, buffer,
                                                          "query", theta.dtype)
-    sup_shared = sup_onehot.ndim == 2  # one-hot batch shared across tasks
-    qry_shared = qry_onehot.ndim == 2
     buffers = {}
     # ping-pong output buffers so the updated theta never aliases the current;
     # the caller's array is never written to
@@ -281,10 +240,8 @@ def meta_train(model: CaeModel, theta: np.ndarray, buffer: TaskBuffer,
     prev = None
     for it in range(config.outer_iters):
         idx = rng.choice(n, size=k, replace=n < k)
-        support = (sup_onehot if sup_shared else sup_onehot[idx],
-                   sup_noise[idx], sup_h[idx], sup_rep)
-        query = (qry_onehot if qry_shared else qry_onehot[idx],
-                 qry_noise[idx], qry_h[idx], qry_rep)
+        support = (sup_onehot, sup_noise[idx], sup_h[idx], sup_rep)
+        query = (qry_onehot, qry_noise[idx], qry_h[idx], qry_rep)
         lr = step_lr(config.outer_lr, iter_offset + it,
                      config.lr_step_size, config.lr_gamma)
         if prev is not None and prev is not theta and prev is not original:
@@ -314,7 +271,7 @@ class RunConfig:
 
     @property
     def sigma2(self) -> float:
-        return float(10.0 ** (-self.snr_db / 10.0))
+        return snr_to_sigma2(self.snr_db)
 
     def substream(self, *labels) -> np.random.Generator:
         return rngmod.substream(self.seed, *labels)
@@ -391,7 +348,7 @@ def online_run(cfg: RunConfig, model: CaeModel = None,
                                  cfg.meta.inner_lr)
         ser = evaluate_ser(model, h, noise, cfg.n_eval,
                            cfg.cell_substream("eval", i), theta=theta_star)
-        buffer.push(task)
+        buffer.append(task)
         chunk = chunks[i - 1]
         if chunk > 0:
             per_call = replace(cfg.meta, outer_iters=chunk)

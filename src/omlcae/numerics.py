@@ -1,14 +1,22 @@
-"""Minimal dense-network engine: forward, exact backprop, optimizers.
+"""Minimal dense-network engine: forward, exact backprop, Adam.
 
 Parameters live in a single flat vector ("ParamVector") with a fixed layout:
 for each layer, the weight matrix (row-major, shape out x in) followed by the
 bias vector.  Flat storage keeps parameter arithmetic (SGD / Adam / MAML
 updates) trivial and layout-stable.
 
+Hidden layers are leaky-ReLU; the output layer is linear or softmax.
+Backprop starts from the gradient of the last layer's pre-activation, which
+is the output gradient of a linear head and the fused softmax+cross-entropy
+gradient of a softmax head.
+
 All core routines accept arbitrary leading axes on both the parameter vector
 and the inputs, so a stack of T task-adapted parameter vectors of shape (T, P)
 can be pushed through the network against inputs of shape (T, B, d) in one
 call.  This is what makes meta-training tractable in pure NumPy.
+
+The pure adam_step and softmax_cross_entropy are the test references for the
+in-place Adam and the fused pipeline loss.
 """
 
 from dataclasses import dataclass, field
@@ -19,8 +27,7 @@ LEAKY_SLOPE = 0.01  # negative slope of the leaky rectifier
 
 ACT_LINEAR = "linear"
 ACT_SOFTMAX = "softmax"
-ACT_LEAKY = "leaky_relu"
-_OUTPUT_ACTS = (ACT_LINEAR, ACT_SOFTMAX, ACT_LEAKY)
+_OUTPUT_ACTS = (ACT_LINEAR, ACT_SOFTMAX)
 
 
 @dataclass(frozen=True)
@@ -158,26 +165,22 @@ def mlp_forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray):
         preacts.append(z)
         if i < n - 1:
             a = leaky_relu(z)
+        elif spec.output_activation == ACT_SOFTMAX:
+            a = softmax(z)
         else:
-            if spec.output_activation == ACT_SOFTMAX:
-                a = softmax(z)
-            elif spec.output_activation == ACT_LEAKY:
-                a = leaky_relu(z)
-            else:
-                a = z
+            a = z
     cache = (layers, inputs, preacts, single)
     out = a[0] if single else a
     return out, cache
 
 
 def mlp_backward(spec: MlpSpec, theta: np.ndarray, cache, output_grad: np.ndarray,
-                 grad_wrt: str = "output", out: np.ndarray = None,
-                 reduce_lead: bool = False):
+                 out: np.ndarray = None, reduce_lead: bool = False):
     """Exact reverse-mode gradient through the network.
 
-    output_grad is dL/d(output) by default; pass grad_wrt="logits" to start
-    from dL/d(pre-activation of the last layer), which is what a fused
-    softmax+cross-entropy loss produces.  Returns (param_grad, input_grad)
+    output_grad is dL/d(pre-activation of the last layer): the output
+    gradient of a linear head, or what a fused softmax+cross-entropy loss
+    produces for a softmax head.  Returns (param_grad, input_grad)
     with the same leading axes as the forward inputs.  A preallocated
     param-gradient array (or view) may be supplied via ``out``.
 
@@ -186,11 +189,11 @@ def mlp_backward(spec: MlpSpec, theta: np.ndarray, cache, output_grad: np.ndarra
     gradients into one flat matrix product; input_grad stays per-task.
     """
     layers, inputs, preacts, single = cache
-    g = output_grad[None, :] if single else output_grad
+    delta = output_grad[None, :] if single else output_grad
     n = spec.n_layers
-    dtype = np.dtype(g.dtype)
+    dtype = np.dtype(delta.dtype)
 
-    lead = np.broadcast_shapes(theta.shape[:-1], g.shape[:-2])
+    lead = np.broadcast_shapes(theta.shape[:-1], delta.shape[:-2])
     grad_lead = () if reduce_lead else lead
     if out is None:
         param_grad = np.empty(grad_lead + (spec.n_params,), dtype=dtype)
@@ -199,19 +202,6 @@ def mlp_backward(spec: MlpSpec, theta: np.ndarray, cache, output_grad: np.ndarra
             raise ValueError("out array has wrong shape")
         param_grad = out
     layout = spec.layout()
-
-    # gradient w.r.t. the last layer's pre-activation
-    if grad_wrt == "logits":
-        delta = g
-    else:
-        z = preacts[-1]
-        if spec.output_activation == ACT_SOFTMAX:
-            p = softmax(z)
-            delta = p * (g - np.sum(g * p, axis=-1, keepdims=True))
-        elif spec.output_activation == ACT_LEAKY:
-            delta = g * _leaky_grad(z, dtype)
-        else:
-            delta = g
 
     for i in range(n - 1, -1, -1):
         w, _ = layers[i]
@@ -251,12 +241,6 @@ def softmax_cross_entropy(logits: np.ndarray, label: int):
     grad = softmax(logits)
     grad[label] -= 1.0
     return float(loss), grad
-
-
-def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    if params.shape != grad.shape:
-        raise ValueError(f"shape mismatch: {params.shape} vs {grad.shape}")
-    return params - lr * grad
 
 
 @dataclass

@@ -1,15 +1,17 @@
 """Unit tests for the QPSK+MLE, scratch-CAE, and joint-CAE baselines."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 from omlcae import rng as rngmod
-from omlcae.baselines import (JointTrainState, QPSK_POINTS, QpskConfig,
-                              baseline_cae_sequence, mle_channel_estimate,
-                              qpsk_mle_ser, run_qpsk_mle, run_scratch_cae)
+from omlcae.baselines import (QPSK_POINTS, QpskConfig, _joint_train,
+                              mle_channel_estimate, qpsk_mle_ser, run_joint_cae,
+                              run_qpsk_mle, run_scratch_cae)
 from omlcae.cae import CaeModel, evaluate_ser
 from omlcae.channel import NoiseModel, awgn, cmul, rayleigh_sample
-from omlcae.metalearn import MetaConfig, RunConfig, make_pilot_task
+from omlcae.metalearn import MetaConfig, RunConfig, inner_adapt, make_pilot_task
 
 
 def test_qpsk_gray_map_unit_energy_and_adjacency():
@@ -111,9 +113,10 @@ def test_scratch_baseline_noiseless_fit():
     rng = rngmod.substream(6, "sb-task")
     h = rayleigh_sample(rng, 1)
     task = make_pilot_task(model, h, 0.0, 1, rng)
-    ser, _ = baseline_cae_sequence(model, "scratch", None, task, 300, 0.05,
-                                   rngmod.substream(6, "sb-init"),
-                                   1000, rngmod.substream(6, "sb-eval"))
+    theta = inner_adapt(model, model.init_like(rngmod.substream(6, "sb-init")),
+                        task, 300, 0.05)
+    ser = evaluate_ser(model, task.h, NoiseModel(0.0), 1000,
+                       rngmod.substream(6, "sb-eval"), theta=theta)
     assert ser <= 0.001
 
 
@@ -122,44 +125,43 @@ def test_scratch_baseline_untrained_is_random_guess():
     rng = rngmod.substream(7, "t")
     h = rayleigh_sample(rng, 1)
     task = make_pilot_task(model, h, 0.1, 1, rng)
-    ser, _ = baseline_cae_sequence(model, "scratch", None, task, 0, 0.05,
-                                   rngmod.substream(7, "i"), 4000,
-                                   rngmod.substream(7, "e"))
+    theta = inner_adapt(model, model.init_like(rngmod.substream(7, "i")),
+                        task, 0, 0.05)
+    ser = evaluate_ser(model, task.h, NoiseModel(0.1), 4000,
+                       rngmod.substream(7, "e"), theta=theta)
     # untrained net still errs at roughly the random-guess rate
     assert ser > 0.5
 
 
 def test_joint_baseline_carries_state_and_improves_over_random():
     model = CaeModel.build(2, 1, rngmod.substream(8, "jb"), hidden=16)
-    state = JointTrainState(theta=model.params.copy())
+    theta = model.params.copy()
+    store = deque()
     rng = rngmod.substream(8, "jt")
     sers = []
     for i in range(3):
         h = rayleigh_sample(rng, 1)
         task = make_pilot_task(model, h, 0.05, 2, rng)
-        ser, state = baseline_cae_sequence(
-            model, "joint", state, task, 50, 0.05,
-            rngmod.substream(8, "js"), 2000, rngmod.substream(8, "je", i),
-            joint_iters=100)
-        sers.append(ser)
-    assert len(state.pilot_store) == 3
-    assert not np.array_equal(state.theta, model.params)
+        store.append(task)
+        theta = _joint_train(model, theta, store, 100, 0.05, 5,
+                             rngmod.substream(8, "js"))
+        theta_ft = inner_adapt(model, theta, task, 50, 0.05)
+        sers.append(evaluate_ser(model, task.h, NoiseModel(0.05), 2000,
+                                 rngmod.substream(8, "je", i), theta=theta_ft))
+    assert not np.array_equal(theta, model.params)
     assert sers[-1] < 0.75
 
 
-def test_joint_store_capacity_bound():
-    state = JointTrainState(theta=np.zeros(2), capacity=2)
-    for i in range(4):
-        state.push(i)
-    assert state.pilot_store == [2, 3]
-
-
-def test_baseline_mode_validation():
-    model = CaeModel.build(2, 1, rngmod.substream(9, "m"), hidden=8)
-    rng = rngmod.substream(9, "t")
-    task = make_pilot_task(model, rayleigh_sample(rng, 1), 0.1, 1, rng)
-    with pytest.raises(ValueError):
-        baseline_cae_sequence(model, "bogus", None, task, 1, 0.05, rng, 10, rng)
+def test_run_joint_cae_store_capacity():
+    # a store at least as large as the run keeps every task, like no bound;
+    # a one-task store trains on the current task only
+    meta = MetaConfig(outer_iters=40, finetune_iters=5)
+    cfg = RunConfig(k=2, n_ch=1, snr_db=5.0, shots=1, n_sequences=4,
+                    n_eval=400, seed=3, meta=meta, hidden=8)
+    unbounded = repr(run_joint_cae(cfg))
+    assert repr(run_joint_cae(cfg, store_capacity=4)) == unbounded
+    assert repr(run_joint_cae(cfg, store_capacity=10)) == unbounded
+    assert repr(run_joint_cae(cfg, store_capacity=1)) != unbounded
 
 
 def test_run_qpsk_requires_matching_dims():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from omlcae import rng as rngmod
-from omlcae.channel import (FadingProcess, NoiseModel, apply_channel,
-                            apply_channel_fixed, ar_step, awgn, cmul, cmul_conj,
+from omlcae.channel import (FadingProcess, NoiseModel, awgn, cmul, cmul_conj,
                             rayleigh_sample, snr_to_sigma2, to_complex)
 
 
@@ -61,7 +60,7 @@ def test_ar_step_rho_one_and_zero():
     h1, h2 = proc.step(), proc.step()
     assert np.array_equal(h1, h2)
     proc = FadingProcess(0.0, 2, rngmod.substream(3, "ar0"))
-    h1, h2 = ar_step(proc), ar_step(proc)
+    h1, h2 = proc.step(), proc.step()
     assert not np.array_equal(h1, h2)
 
 
@@ -89,43 +88,3 @@ def test_awgn_shape_and_variance():
     per_use = n[:, 0] ** 2 + n[:, 1] ** 2
     assert abs(per_use.mean() - 0.5) < 0.01
     assert awgn(rng, 3, 1.0).shape == (6,)
-
-
-def test_apply_channel_noiseless_cases():
-    x = np.array([1.0, 0.0, 0.5, -0.5])
-    rng = rngmod.substream(6, "ac")
-    y, nd = apply_channel(np.array([1.0, 0.0, 1.0, 0.0]), x,
-                          NoiseModel(0.0), rng)
-    assert np.allclose(y, x) and np.all(nd == 0.0)
-    y, _ = apply_channel(np.array([0.0, 1.0]), np.array([1.0, 0.0]),
-                         NoiseModel(0.0), rng)
-    assert np.allclose(y, [0.0, 1.0])
-
-
-def test_apply_channel_noise_variance():
-    rng = rngmod.substream(7, "acv")
-    h = rayleigh_sample(rng, 1)
-    x = np.tile(np.array([1.0, 0.0]), (100000, 1))
-    y, _ = apply_channel(h, x, NoiseModel(0.25), rng)
-    resid = y - cmul(h, x)
-    per_use = np.sum(resid ** 2, axis=-1)
-    assert abs(per_use.mean() - 0.25) < 0.005
-
-
-def test_apply_channel_replay_bitwise_and_linearity():
-    rng = rngmod.substream(8, "rep")
-    h = rayleigh_sample(rng, 2)
-    x1, x2 = rng.normal(size=(2, 4))
-    _, nd = apply_channel(h, x1, NoiseModel(0.1), rng)
-    assert np.array_equal(apply_channel_fixed(h, x1, nd),
-                          apply_channel_fixed(h, x1, nd))
-    a, b = 2.0, -0.5
-    lhs = apply_channel_fixed(h, a * x1 + b * x2, nd)
-    rhs = a * cmul(h, x1) + b * cmul(h, x2) + nd
-    assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-def test_apply_channel_length_mismatch():
-    with pytest.raises(ValueError):
-        apply_channel(np.zeros(2), np.zeros(4), NoiseModel(0.0),
-                      rngmod.substream(0, "x"))

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from omlcae import rng as rngmod
-from omlcae.baselines import baseline_cae_sequence
 from omlcae.cae import CaeModel
 from omlcae.channel import NoiseModel, rayleigh_sample
 from omlcae.harness import (ExperimentConfig, MetricsRecord, apply_profile,
@@ -43,6 +42,15 @@ def test_config_validation():
         tiny_cfg("/tmp", rho=1.5).validate()
     with pytest.raises(ValueError):
         tiny_cfg("/tmp", dtype="float16").validate()
+    with pytest.raises(ValueError, match="query_shots"):
+        tiny_cfg("/tmp", query_shots=0).validate()
+    with pytest.raises(ValueError, match="warmup"):
+        tiny_cfg("/tmp", warmup=-1).validate()
+    with pytest.raises(ValueError, match="tasks_per_update"):
+        tiny_cfg("/tmp", meta=MetaConfig(tasks_per_update=0)).validate()
+    with pytest.raises(ValueError, match="joint_store_capacity"):
+        tiny_cfg("/tmp", joint_store_capacity=0).validate()
+    tiny_cfg("/tmp", query_shots=1, warmup=0).validate()
 
 
 def test_apply_profile_fills_fields():

@@ -12,8 +12,9 @@ from omlcae.cae import pipeline_loss_grads
 from omlcae.metalearn import (OUTER_RULES, MetaConfig, RunConfig, Task,
                               TaskBuffer, _stack_tasks, buffer_push, inner_adapt,
                               make_pilot_task, meta_train, online_run,
-                              outer_meta_step, task_sequence, theta_hash)
-from omlcae.numerics import AdamState, adam_step, sgd_step, step_lr
+                              outer_meta_step, run_sgd, task_sequence,
+                              theta_hash)
+from omlcae.numerics import AdamState, adam_step, step_lr
 
 
 def small_model(k=2, n_ch=1, seed=0, hidden=8):
@@ -37,8 +38,8 @@ def test_make_pilot_task_counts_and_determinism():
     assert len(task.support) == 80 and len(task.query) == 80
     t1 = make_task(model, 7)
     t2 = make_task(model, 7)
-    assert np.array_equal(t1.support.noise, t2.support.noise)
-    assert np.array_equal(t1.query.noise, t2.query.noise)
+    assert np.array_equal(t1.support, t2.support)
+    assert np.array_equal(t1.query, t2.query)
     t3 = make_task(model, 7, query_shots=3)
     assert len(t3.support) == 4 and len(t3.query) == 12
     with pytest.raises(ValueError):
@@ -79,8 +80,27 @@ def test_inner_adapt_one_step_is_sgd_on_support():
     task = make_task(model, 2)
     got = inner_adapt(model, model.params, task, steps=1, alpha=0.05)
     _, grads = loss_and_grads(model, task.support, task.h)
-    want = sgd_step(model.params, grads, 0.05)
+    want = model.params - 0.05 * grads
     assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("hidden", [64, 256])
+@pytest.mark.parametrize("shots", [1, 5])
+def test_stacked_fine_tune_matches_separate_inner_adapt_bitwise(hidden, shots):
+    # T tasks fine-tuned as one stacked block from a pre-stacked (T, P)
+    # theta reproduce T separate fine-tunes bit for bit, at the desk (64)
+    # and paper (256) widths; batching scratch-CAE sequences relies on this
+    model = CaeModel.build(4, 2, rngmod.substream(0, "stk", hidden),
+                           hidden=hidden)
+    rng = rngmod.substream(1, "stk", hidden, shots)
+    for n_tasks in (3, 5):
+        tasks = [make_pilot_task(model, rayleigh_sample(rng, 2), 0.3, shots,
+                                 rng) for _ in range(n_tasks)]
+        want = [inner_adapt(model, model.params, t, 4, 0.05) for t in tasks]
+        batch = _stack_tasks(model, tasks, "support", model.params.dtype)
+        got = run_sgd(model, np.tile(model.params, (n_tasks, 1)), batch, 4,
+                      0.05)
+        assert np.array_equal(got, np.stack(want))
 
 
 def test_inner_adapt_descends_support_loss():
@@ -243,6 +263,9 @@ def test_meta_train_improves_adapted_query_loss():
 def test_metaconfig_validation():
     with pytest.raises(ValueError):
         MetaConfig(inner_lr=-0.1).validate()
+    for name in ("tasks_per_update", "lr_step_size", "buffer_capacity"):
+        with pytest.raises(ValueError, match=name):
+            MetaConfig(**{name: 0}).validate()
     with pytest.raises(ValueError, match="outer_rule"):
         MetaConfig(outer_rule="maml").validate()
     for rule in OUTER_RULES:
@@ -253,13 +276,13 @@ def test_task_sequence_method_insensitive_and_deterministic():
     cfg = RunConfig(k=2, n_ch=1, snr_db=5.0, shots=1, n_sequences=4,
                     seed=3, hidden=8)
     model = cfg.build_model()
-    seq1 = [(i, h.copy(), t.support.noise.copy())
+    seq1 = [(i, h.copy(), t.support.copy())
             for i, h, t in task_sequence(cfg, model)]
     seq2 = list(task_sequence(cfg, model))
     for (i1, h1, n1), (i2, h2, t2) in zip(seq1, seq2):
         assert i1 == i2
         assert np.array_equal(h1, h2)
-        assert np.array_equal(n1, t2.support.noise)
+        assert np.array_equal(n1, t2.support)
 
 
 def test_online_run_single_sequence_and_determinism():

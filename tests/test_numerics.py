@@ -6,7 +6,7 @@ import pytest
 from omlcae import rng as rngmod
 from omlcae.numerics import (ACT_SOFTMAX, AdamState, MlpSpec, _matmul, adam_step,
                              adam_step_inplace, finite_diff_grad, init_params,
-                             leaky_relu, mlp_backward, mlp_forward, sgd_step,
+                             leaky_relu, mlp_backward, mlp_forward,
                              softmax_cross_entropy, step_lr)
 
 
@@ -110,8 +110,7 @@ def test_backward_matches_finite_differences():
     out, cache = mlp_forward(spec, theta, x)
     logits = cache[2][-1][0]
     _, g_logits = softmax_cross_entropy(logits, label)
-    pg, _ = mlp_backward(spec, theta, cache, g_logits[None, :],
-                         grad_wrt="logits")
+    pg, _ = mlp_backward(spec, theta, cache, g_logits[None, :])
     fd = finite_diff_grad(loss_fn, theta, eps=1e-5)
     mask = np.abs(pg) > 1e-8
     rel = np.max(np.abs(pg[mask] - fd[mask]) / np.abs(pg[mask]))
@@ -164,15 +163,6 @@ def test_softmax_cross_entropy_grad_sums_to_zero():
 def test_softmax_cross_entropy_label_range():
     with pytest.raises(ValueError):
         softmax_cross_entropy(np.zeros(3), 3)
-
-
-def test_sgd_step_values():
-    assert np.allclose(sgd_step(np.array([1.0]), np.array([0.5]), 0.1), [0.95])
-    theta = np.array([1.0, -2.0])
-    assert np.array_equal(sgd_step(theta, np.array([3.0, 4.0]), 0.0), theta)
-    assert np.allclose(sgd_step(np.array([0.0]), np.array([1.0]), 0.05), [-0.05])
-    with pytest.raises(ValueError):
-        sgd_step(np.zeros(2), np.zeros(3), 0.1)
 
 
 def test_adam_first_step_and_zero_grad():
