@@ -12,7 +12,7 @@ import numpy as np
 
 from .cae import CaeModel, evaluate_ser, pipeline_loss_grads
 from .channel import NoiseModel, awgn, cmul
-from .metalearn import RunConfig, inner_adapt, task_sequence
+from .metalearn import RunConfig, _chunk_schedule, inner_adapt, task_sequence
 
 # Gray map: bit pair (b0, b1) -> unit-energy QPSK point, indexed by 2*b0+b1.
 # 00 -> (+1+j)/sqrt2, 01 -> (-1+j)/sqrt2, 10 -> (+1-j)/sqrt2, 11 -> (-1-j)/sqrt2.
@@ -109,10 +109,9 @@ def _joint_train(model: CaeModel, theta: np.ndarray, store, iters: int,
     """
     dtype = theta.dtype
     eye = np.eye(model.n_messages, dtype=dtype)
-    first = store[0]
     task_onehot = np.concatenate([
         np.repeat(eye, len(pilots) // len(eye), axis=0)
-        for pilots in (first.support, first.query)])
+        for pilots in (store[0].support, store[0].query)])
     noise = np.stack([np.concatenate([t.support, t.query])
                       for t in store]).astype(dtype, copy=False)
     h = np.stack([np.broadcast_to(t.h, noise.shape[1:])
@@ -151,18 +150,19 @@ def run_scratch_cae(cfg: RunConfig, model: CaeModel = None):
 
 
 def run_joint_cae(cfg: RunConfig, model: CaeModel = None,
-                  store_capacity: int = None, joint_iters: int = None):
+                  store_capacity: int = None):
     """Joint-CAE over the shared task sequence; returns [(sequence, ser)].
 
     Per sequence: store the task (the oldest drops out past store_capacity;
     None keeps all), train the warm-started parameters on mixed batches over
     the stored pilots, fine-tune a copy on the current support, evaluate.
-    The jointly trained parameters carry forward.
+    The jointly trained parameters carry forward.  For compute parity with
+    online_run, cfg.meta.outer_iters is the whole run's joint budget, split
+    over the sequences by the same schedule.
     """
     if model is None:
         model = cfg.build_model()
-    if joint_iters is None:
-        joint_iters = cfg.meta.outer_iters  # compute parity with meta-training
+    chunks = _chunk_schedule(cfg.meta.outer_iters, cfg.n_sequences)
     theta = model.params.copy()
     store = deque(maxlen=store_capacity)
     sample_rng = cfg.cell_substream("joint-sample")
@@ -170,7 +170,7 @@ def run_joint_cae(cfg: RunConfig, model: CaeModel = None,
     results = []
     for i, h, task in task_sequence(cfg, model):
         store.append(task)
-        theta = _joint_train(model, theta, store, joint_iters,
+        theta = _joint_train(model, theta, store, chunks[i - 1],
                              cfg.meta.inner_lr, cfg.meta.tasks_per_update,
                              sample_rng)
         theta_ft = inner_adapt(model, theta, task, cfg.meta.finetune_iters,

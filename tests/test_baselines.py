@@ -5,13 +5,15 @@ from collections import deque
 import numpy as np
 import pytest
 
+from omlcae import baselines, metalearn
 from omlcae import rng as rngmod
 from omlcae.baselines import (QPSK_POINTS, QpskConfig, _joint_train,
                               mle_channel_estimate, qpsk_mle_ser, run_joint_cae,
                               run_qpsk_mle, run_scratch_cae)
 from omlcae.cae import CaeModel, evaluate_ser
 from omlcae.channel import NoiseModel, awgn, cmul, rayleigh_sample
-from omlcae.metalearn import MetaConfig, RunConfig, inner_adapt, make_pilot_task
+from omlcae.metalearn import (MetaConfig, RunConfig, inner_adapt,
+                              make_pilot_task, online_run)
 
 
 def test_qpsk_gray_map_unit_energy_and_adjacency():
@@ -162,6 +164,31 @@ def test_run_joint_cae_store_capacity():
     assert repr(run_joint_cae(cfg, store_capacity=4)) == unbounded
     assert repr(run_joint_cae(cfg, store_capacity=10)) == unbounded
     assert repr(run_joint_cae(cfg, store_capacity=1)) != unbounded
+
+
+def test_joint_and_oml_spend_the_same_meta_budget(monkeypatch):
+    # over one run, the joint CAE's SGD iterations and OML-CAE's meta
+    # iterations each sum to outer_iters, split over the sequences alike
+    meta = MetaConfig(outer_iters=7, finetune_iters=2)
+    cfg = RunConfig(k=2, n_ch=1, snr_db=5.0, shots=1, n_sequences=3,
+                    n_eval=50, seed=0, meta=meta, hidden=8)
+    joint, oml = [], []
+    joint_train, meta_train = baselines._joint_train, metalearn.meta_train
+
+    def counted_joint_train(model, theta, store, iters, *args):
+        joint.append(iters)
+        return joint_train(model, theta, store, iters, *args)
+
+    def counted_meta_train(model, theta, buffer, config, *args, **kwargs):
+        oml.append(config.outer_iters)
+        return meta_train(model, theta, buffer, config, *args, **kwargs)
+
+    monkeypatch.setattr(baselines, "_joint_train", counted_joint_train)
+    monkeypatch.setattr(metalearn, "meta_train", counted_meta_train)
+    run_joint_cae(cfg)
+    online_run(cfg)
+    assert sum(joint) == sum(oml) == meta.outer_iters
+    assert joint == oml == [3, 2, 2]
 
 
 def test_run_qpsk_requires_matching_dims():
