@@ -52,7 +52,6 @@ class Task:
     h: np.ndarray           # (2*n_ch,)
     support: np.ndarray
     query: np.ndarray
-    sigma2: float
 
 
 class TaskBuffer(deque):
@@ -114,8 +113,7 @@ def make_pilot_task(model: CaeModel, h: np.ndarray, sigma2: float, shots: int,
     m = model.n_messages
     support = awgn(rng, model.n_ch, sigma2, size=m * shots, dtype=dtype)
     query = awgn(rng, model.n_ch, sigma2, size=m * query_shots, dtype=dtype)
-    return Task(h=np.asarray(h, dtype=dtype), support=support, query=query,
-                sigma2=float(sigma2))
+    return Task(h=np.asarray(h, dtype=dtype), support=support, query=query)
 
 
 def _stack_tasks(model: CaeModel, tasks, which: str, dtype):
