@@ -134,7 +134,7 @@ def run_sgd(model: CaeModel, theta: np.ndarray, batch, steps: int, lr: float,
     (P,), adapted as one copy per stacked task, or (T, P).  Gradients go into
     two rotating arrays, buffers[0] and buffers[1], so a step never writes
     into the parameters it differentiates and theta is never written.
-    lr == 0 returns theta itself, which the steps would reproduce exactly.
+    lr == 0 returns theta itself, as the steps would for finite gradients.
     """
     if lr == 0:
         return theta
@@ -232,19 +232,16 @@ def meta_train(model: CaeModel, theta: np.ndarray, buffer: TaskBuffer,
     qry_onehot, qry_noise, qry_h, qry_rep = _stack_tasks(model, buffer,
                                                          "query", theta.dtype)
     buffers = {}
-    # ping-pong output buffers so the updated theta never aliases the current;
-    # the caller's array is never written to
-    original = theta
-    prev = None
+    # two output arrays in turn, so the updated theta never aliases the
+    # current one; the caller's array is never written to
+    outs = (np.empty_like(theta), np.empty_like(theta))
     for it in range(config.outer_iters):
         idx = rng.choice(n, size=k, replace=n < k)
         support = (sup_onehot, sup_noise[idx], sup_h[idx], sup_rep)
         query = (qry_onehot, qry_noise[idx], qry_h[idx], qry_rep)
         lr = step_lr(config.outer_lr, iter_offset + it,
                      config.lr_step_size, config.lr_gamma)
-        if prev is not None and prev is not theta and prev is not original:
-            buffers["theta_out"] = prev
-        prev = theta
+        buffers["theta_out"] = outs[it % 2]
         adam, theta = _outer_step_stacked(model, theta, support, query,
                                           config, adam, lr, buffers=buffers)
     return theta
@@ -286,7 +283,8 @@ class RunConfig:
 def task_sequence(cfg: RunConfig, model: CaeModel):
     """Yield (sequence_index, h, task) with draws keyed only by
     (seed, snr, shots, sequence) so every method sees the same channels and
-    pilot noise."""
+    pilot noise.  Every runner starts here, so cfg.meta is validated here."""
+    cfg.meta.validate()
     fading = FadingProcess(cfg.rho, cfg.n_ch, cfg.cell_substream("channel"),
                            dtype=cfg.dtype)
     for i in range(1, cfg.n_sequences + 1):
@@ -329,7 +327,6 @@ def online_run(cfg: RunConfig, model: CaeModel = None,
 
     With return_final_theta=True also returns the last sequence's fine-tuned
     parameter vector (for constellation export)."""
-    cfg.meta.validate()
     if model is None:
         model = cfg.build_model()
     theta = model.params

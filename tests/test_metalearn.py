@@ -270,6 +270,11 @@ def test_metaconfig_validation():
         MetaConfig(outer_rule="maml").validate()
     for rule in OUTER_RULES:
         MetaConfig(outer_rule=rule).validate()
+    # library runners, which skip ExperimentConfig, validate it too
+    cfg = RunConfig(k=2, n_ch=1, n_sequences=1, hidden=8,
+                    meta=MetaConfig(tasks_per_update=0))
+    with pytest.raises(ValueError, match="tasks_per_update"):
+        next(task_sequence(cfg, cfg.build_model()))
 
 
 def test_task_sequence_method_insensitive_and_deterministic():
