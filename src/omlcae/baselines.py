@@ -2,17 +2,18 @@
 scratch-trained CAE, and a jointly-trained CAE.
 
 All CAE baselines consume the exact same Task objects (channels and pilot
-noise) as the meta-learned system, so comparisons are paired per sequence.
+noise) as the meta-learned system, and QPSK+MLE the same channels, so
+comparisons are paired per sequence.
 """
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
-from .cae import CaeModel, evaluate_ser, pipeline_loss_grads
+from .cae import CaeModel, pipeline_loss_grads
 from .channel import NoiseModel, awgn, cmul
-from .metalearn import RunConfig, _chunk_schedule, inner_adapt, task_sequence
+from .metalearn import (RunConfig, _chunk_schedule, channel_sequence,
+                        inner_adapt, sequence_ser, task_sequence)
 
 # Gray map: bit pair (b0, b1) -> unit-energy QPSK point, indexed by 2*b0+b1.
 # 00 -> (+1+j)/sqrt2, 01 -> (-1+j)/sqrt2, 10 -> (+1-j)/sqrt2, 11 -> (-1-j)/sqrt2.
@@ -20,19 +21,6 @@ QPSK_POINTS = np.array([[1.0, 1.0],
                         [-1.0, 1.0],
                         [1.0, -1.0],
                         [-1.0, -1.0]]) / np.sqrt(2.0)
-
-
-@dataclass
-class QpskConfig:
-    k: int
-
-    def __post_init__(self):
-        if self.k % 2 != 0:
-            raise ValueError("QPSK requires an even number of bits (k = 2*n_ch)")
-
-    @property
-    def n_ch(self) -> int:
-        return self.k // 2
 
 
 def mle_channel_estimate(pilot_tx, pilot_rx) -> np.ndarray:
@@ -66,8 +54,9 @@ def qpsk_mle_ser(h: np.ndarray, noise: NoiseModel, shots: int, k: int,
     bit is demodulated incorrectly.  The pilot is the all-ones QPSK point
     repeated `shots` times per use (any fixed known pilot is ML-equivalent).
     """
-    qc = QpskConfig(k)
-    n = qc.n_ch
+    if k % 2 != 0:
+        raise ValueError("QPSK requires an even number of bits (k = 2*n_ch)")
+    n = k // 2
     if h.shape[-1] != 2 * n:
         raise ValueError(f"h length {h.shape[-1]} != {2 * n}")
 
@@ -136,16 +125,12 @@ def run_scratch_cae(cfg: RunConfig, model: CaeModel = None):
     """
     if model is None:
         model = cfg.build_model()
-    noise = NoiseModel(cfg.sigma2)
     results = []
     for i, h, task in task_sequence(cfg, model):
-        theta = model.init_like(cfg.substream("scratch-init", cfg.snr_db,
-                                              cfg.shots, i))
+        theta = model.init_like(cfg.cell_substream("scratch-init", i))
         theta = inner_adapt(model, theta, task, cfg.meta.finetune_iters,
                             cfg.meta.inner_lr)
-        ser = evaluate_ser(model, h, noise, cfg.n_eval,
-                           cfg.cell_substream("eval", i), theta=theta)
-        results.append((i, ser))
+        results.append((i, sequence_ser(model, cfg, i, h, theta)))
     return results
 
 
@@ -166,7 +151,6 @@ def run_joint_cae(cfg: RunConfig, model: CaeModel = None,
     theta = model.params.copy()
     store = deque(maxlen=store_capacity)
     sample_rng = cfg.cell_substream("joint-sample")
-    noise = NoiseModel(cfg.sigma2)
     results = []
     for i, h, task in task_sequence(cfg, model):
         store.append(task)
@@ -175,21 +159,18 @@ def run_joint_cae(cfg: RunConfig, model: CaeModel = None,
                              sample_rng)
         theta_ft = inner_adapt(model, theta, task, cfg.meta.finetune_iters,
                                cfg.meta.inner_lr)
-        ser = evaluate_ser(model, h, noise, cfg.n_eval,
-                           cfg.cell_substream("eval", i), theta=theta_ft)
-        results.append((i, ser))
+        results.append((i, sequence_ser(model, cfg, i, h, theta_ft)))
     return results
 
 
-def run_qpsk_mle(cfg: RunConfig, model: CaeModel = None):
-    """QPSK+MLE over the same channel sequence; returns [(sequence, ser)]."""
+def run_qpsk_mle(cfg: RunConfig):
+    """QPSK+MLE over the shared channel sequence alone (QPSK sends its own
+    pilots); returns [(sequence, ser)]."""
     if cfg.k != 2 * cfg.n_ch:
         raise ValueError("qpsk_mle requires k = 2 * n_ch")
-    if model is None:
-        model = cfg.build_model()
     noise = NoiseModel(cfg.sigma2)
     results = []
-    for i, h, task in task_sequence(cfg, model):
+    for i, h in channel_sequence(cfg):
         ser = qpsk_mle_ser(h.astype(np.float64), noise, cfg.shots, cfg.k,
                            cfg.n_eval, cfg.cell_substream("qpsk-pilots", i))
         results.append((i, ser))

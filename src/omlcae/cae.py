@@ -228,18 +228,23 @@ def loss_and_grads(model: CaeModel, pilots: np.ndarray, h: np.ndarray,
     return float(loss), grads
 
 
+def transmit(model: CaeModel, theta: np.ndarray, h: np.ndarray,
+             noise: NoiseModel, n: int, rng: np.random.Generator):
+    """Send n uniform messages through h (drawing indices, then noise) and
+    decode them; returns 0-based (sent, received, decided), argmax decisions
+    with ties broken by lowest index."""
+    sent = rng.integers(0, model.n_messages, size=n)
+    x = codebook(model, theta=theta)[sent]
+    y = cmul(h, x) + awgn(rng, model.n_ch, noise.sigma2, size=n, dtype=x.dtype)
+    return sent, y, np.argmax(decode(model, y, theta=theta), axis=-1)
+
+
 def evaluate_ser(model: CaeModel, h: np.ndarray, noise: NoiseModel, n_eval: int,
                  rng: np.random.Generator, theta: np.ndarray = None) -> float:
-    """Fraction of uniformly drawn messages decoded incorrectly (argmax rule,
-    ties broken by lowest index)."""
+    """Fraction of n_eval messages sent through transmit that are decoded
+    incorrectly."""
     if n_eval < 1:
         raise ValueError("n_eval must be >= 1")
     theta = model.params if theta is None else theta
-    book = codebook(model, theta=theta)
-    idx = rng.integers(0, model.n_messages, size=n_eval)
-    x = book[idx]
-    noise_draw = awgn(rng, model.n_ch, noise.sigma2, size=n_eval, dtype=x.dtype)
-    y = cmul(h, x) + noise_draw
-    probs = decode(model, y, theta=theta)
-    predicted = np.argmax(probs, axis=-1)
-    return float(np.mean(predicted != idx))
+    sent, _, decided = transmit(model, theta, h, noise, n_eval, rng)
+    return float(np.mean(decided != sent))

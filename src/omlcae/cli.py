@@ -17,7 +17,7 @@ import numpy as np
 from . import rng as rngmod
 from .cae import CaeModel, loss_and_grads
 from .channel import FadingProcess, NoiseModel, rayleigh_sample, snr_to_sigma2, to_complex
-from .harness import (ExperimentConfig, PROFILES, efficiency_analysis,
+from .harness import (_EXPERIMENT_KEYS, PROFILES, efficiency_analysis,
                       export_constellation, mean_efficiency_ratio, parse_config,
                       read_metrics_csv, run_experiment, summarize)
 from .metalearn import (MetaConfig, RunConfig, inner_adapt, make_pilot_task,
@@ -30,15 +30,12 @@ def _add_run_parser(sub):
     p.add_argument("--config", default=None, help="INI config file")
     p.add_argument("--bits", type=int, dest="k")
     p.add_argument("--channel-uses", type=int, dest="n_ch")
-    p.add_argument("--snr-db", dest="snr_db",
-                   type=lambda s: tuple(float(v) for v in s.split(",")))
-    p.add_argument("--shots", dest="shots",
-                   type=lambda s: tuple(int(v) for v in s.split(",")))
+    p.add_argument("--snr-db", dest="snr_db", type=_EXPERIMENT_KEYS["snr_db"])
+    p.add_argument("--shots", type=_EXPERIMENT_KEYS["shots"])
     p.add_argument("--sequences", type=int, dest="n_sequences")
     p.add_argument("--rho", type=float)
     p.add_argument("--buffer-size", type=int, dest="buffer_capacity")
-    p.add_argument("--methods",
-                   type=lambda s: tuple(v.strip() for v in s.split(",")))
+    p.add_argument("--methods", type=_EXPERIMENT_KEYS["methods"])
     p.add_argument("--seed", type=int)
     p.add_argument("--profile", choices=sorted(PROFILES))
     p.add_argument("--n-eval", type=int, dest="n_eval")
@@ -46,10 +43,8 @@ def _add_run_parser(sub):
 
 
 def _cmd_run(args):
-    keys = ("k", "n_ch", "snr_db", "shots", "n_sequences", "rho",
-            "buffer_capacity", "methods", "seed", "profile", "n_eval",
-            "out_dir")
-    overrides = {k: getattr(args, k, None) for k in keys}
+    overrides = {k: v for k, v in vars(args).items()
+                 if k not in ("command", "config")}
     cfg = parse_config(args.config, overrides)
     records = run_experiment(cfg)
     print(f"wrote {len(records)} rows to {os.path.join(cfg.out_dir, 'metrics.csv')}")
@@ -87,14 +82,11 @@ def _cmd_constellation(args):
                     shots=args.shots, n_sequences=args.sequences,
                     seed=args.seed, meta=meta, n_eval=args.n_show)
     model = cfg.build_model()
-    h = task = None
+    for _, h, task in task_sequence(cfg, model):  # ends on the last one
+        pass
     if args.method == "oml_cae":
         _, theta = online_run(cfg, model=model, return_final_theta=True)
-        for _, h, task in task_sequence(cfg, model):  # last sequence's channel
-            pass
     else:
-        for _, h, task in task_sequence(cfg, model):
-            pass
         theta = inner_adapt(model, model.params, task,
                             cfg.meta.finetune_iters, cfg.meta.inner_lr)
     export_constellation(model, h, NoiseModel(cfg.sigma2), args.snr_db,

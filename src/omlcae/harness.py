@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .baselines import run_joint_cae, run_qpsk_mle, run_scratch_cae
-from .cae import CaeModel, codebook, decode
-from .channel import NoiseModel, awgn, cmul
+from .cae import CaeModel, codebook, transmit
+from .channel import NoiseModel
 from .metalearn import MetaConfig, RunConfig, online_run
 
 METHODS = ("oml_cae", "cae", "joint_cae", "qpsk_mle")
@@ -51,17 +51,20 @@ METHODS = ("oml_cae", "cae", "joint_cae", "qpsk_mle")
 # Reptile on.
 PROFILES = {
     "paper": dict(n_sequences=300, outer_iters=6000, finetune_iters=1000,
-                  n_eval=10000, hidden=256, adapt_steps=1, dtype="float64",
-                  query_shots=None, outer_lr=1e-4, outer_rule="fomaml"),
+                  n_eval=10000, hidden=256, adapt_steps=1, query_shots=None,
+                  outer_lr=1e-4, outer_rule="fomaml"),
     "desk": dict(n_sequences=60, outer_iters=1500, finetune_iters=300,
-                 n_eval=4000, hidden=64, adapt_steps=10, dtype="float64",
-                 query_shots=1, outer_lr=1e-3, outer_rule="reptile"),
+                 n_eval=4000, hidden=64, adapt_steps=10, query_shots=1,
+                 outer_lr=1e-3, outer_rule="reptile"),
 }
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
 @dataclass
 class ExperimentConfig:
+    """One experiment grid.  profile is read only by apply_profile and
+    parse_config; run_experiment uses the fields as given."""
+
     k: int = 4
     n_ch: int = 2
     snr_db: tuple = (5.0,)
@@ -115,16 +118,13 @@ class ExperimentConfig:
                          query_shots=self.query_shots)
 
 
-def _profile_fields(profile: str, skip=()):
-    """(experiment fields, meta fields) a profile sets, minus those in skip."""
-    p = {k: v for k, v in PROFILES[profile].items() if k not in skip}
-    meta = {k: v for k, v in p.items() if k in _META_KEYS}
-    return {k: v for k, v in p.items() if k not in meta}, meta
-
-
 def apply_profile(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Fill profile-controlled fields (desk vs paper) into the config."""
-    exp, meta = _profile_fields(cfg.profile)
+    """Fill profile-controlled fields (desk vs paper) into the config.
+
+    An unknown profile sets nothing, and cfg.validate() rejects it."""
+    p = PROFILES.get(cfg.profile, {})
+    meta = {k: v for k, v in p.items() if k in _META_KEYS}
+    exp = {k: v for k, v in p.items() if k not in meta}
     return replace(cfg, meta=replace(cfg.meta, **meta), **exp)
 
 
@@ -140,13 +140,16 @@ class MetricsRecord:
 
 def _run_cell(cfg: ExperimentConfig, method: str, snr_db: float, shots: int):
     rc = cfg.run_config(snr_db, shots)
-    if method == "oml_cae":
-        return [(r.sequence, r.ser_after_adapt) for r in online_run(rc)]
-    if method == "cae":
-        return run_scratch_cae(rc)
-    if method == "joint_cae":
-        return run_joint_cae(rc, store_capacity=cfg.joint_store_capacity)
-    return run_qpsk_mle(rc)
+    try:
+        if method == "oml_cae":
+            return [(r.sequence, r.ser_after_adapt) for r in online_run(rc)]
+        if method == "cae":
+            return run_scratch_cae(rc)
+        if method == "joint_cae":
+            return run_joint_cae(rc, store_capacity=cfg.joint_store_capacity)
+        return run_qpsk_mle(rc)
+    except FloatingPointError as e:
+        raise FloatingPointError(f"{method}: {e}") from e
 
 
 def run_experiment(cfg: ExperimentConfig, write: bool = True):
@@ -291,11 +294,7 @@ def export_constellation(model: CaeModel, h: np.ndarray, noise: NoiseModel,
                  for u in range(model.n_ch)]
         return pairs[0] if model.n_ch == 1 else pairs
 
-    idx = rng.integers(0, model.n_messages, size=n_show)
-    x = book[idx]
-    noise_draw = awgn(rng, model.n_ch, noise.sigma2, size=n_show, dtype=x.dtype)
-    y = cmul(h, x) + noise_draw
-    predicted = np.argmax(decode(model, y, theta=theta), axis=-1)
+    idx, y, predicted = transmit(model, theta, h, noise, n_show, rng)
 
     doc = {
         "k": model.k,
@@ -322,14 +321,13 @@ def export_constellation(model: CaeModel, h: np.ndarray, noise: NoiseModel,
 # ---------------------------------------------------------------------------
 # config file parsing: plain INI-style text, [experiment] and [meta] sections
 
-_EXPERIMENT_KEYS = {
-    "k": int, "n_ch": int, "n_sequences": int, "rho": float, "n_eval": int,
-    "seed": int, "profile": str, "out_dir": str, "warmup": int, "hidden": int,
-    "dtype": str, "joint_store_capacity": int, "query_shots": int,
-    "snr_db": lambda s: tuple(float(v) for v in s.split(",")),
-    "shots": lambda s: tuple(int(v) for v in s.split(",")),
-    "methods": lambda s: tuple(v.strip() for v in s.split(",")),
-}
+# scalar fields parse with their own type; the tuples are comma lists
+_EXPERIMENT_KEYS = {f.name: f.type for f in fields(ExperimentConfig)
+                    if f.type in (int, float, str)}
+_EXPERIMENT_KEYS.update(
+    snr_db=lambda s: tuple(float(v) for v in s.split(",")),
+    shots=lambda s: tuple(int(v) for v in s.split(",")),
+    methods=lambda s: tuple(v.strip() for v in s.split(",")))
 _META_KEYS = {f.name: f.type for f in fields(MetaConfig)}
 
 
@@ -338,9 +336,9 @@ def parse_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
 
     Defaults are the paper profile.  Unknown keys are rejected; flag values
     take precedence over file values.  The profile's fields (sequence count,
-    iteration budgets, n_eval, hidden width, adapt steps, dtype, query shots,
-    outer lr and outer rule) are applied last unless the file or flags set
-    them explicitly.
+    iteration budgets, n_eval, hidden width, adapt steps, query shots, outer
+    lr and outer rule) are applied last unless the file or flags set them
+    explicitly.
     """
     file_vals, meta_vals = {}, {}
     if path is not None:
@@ -362,8 +360,7 @@ def parse_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
                 except ValueError as e:
                     raise ValueError(f"bad value for '{key}': {raw!r}") from e
 
-    overrides = dict(overrides or {})
-    for key, val in overrides.items():
+    for key, val in (overrides or {}).items():
         if val is None:
             continue
         if key in _META_KEYS:
@@ -373,14 +370,8 @@ def parse_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
         else:
             raise ValueError(f"unknown config key '{key}'")
 
-    cfg = ExperimentConfig(meta=MetaConfig(**meta_vals))
-    explicit = set(file_vals)
-    for key, val in file_vals.items():
-        cfg = replace(cfg, **{key: val})
-
-    # profile fills whatever was not set explicitly
-    exp, meta = _profile_fields(cfg.profile, skip=explicit | set(meta_vals))
-    cfg = replace(cfg, meta=replace(cfg.meta, **meta), **exp)
-
+    # the profile fills the defaults; explicit values then override it
+    cfg = apply_profile(replace(ExperimentConfig(), **file_vals))
+    cfg = replace(cfg, meta=replace(cfg.meta, **meta_vals), **file_vals)
     cfg.validate()
     return cfg

@@ -18,7 +18,7 @@ The online loop, per sequence i:
     1. draw channel h_i from the AR(1) fading process
     2. transmit pilots -> task (support + query noise realizations)
     3. fine-tune the current meta-initialization on the support set
-    4. measure SER of the fine-tuned model under h_i
+    4. measure SER of the fine-tuned model under h_i; non-finite ones raise
     5. push the task into the FIFO buffer
     6. meta-train on buffered tasks to produce the next initialization
 
@@ -268,31 +268,48 @@ class RunConfig:
     def sigma2(self) -> float:
         return snr_to_sigma2(self.snr_db)
 
-    def substream(self, *labels) -> np.random.Generator:
-        return rngmod.substream(self.seed, *labels)
-
     def cell_substream(self, purpose, *extra) -> np.random.Generator:
         # keyed by (seed, purpose, snr, shots, ...), never by method
-        return self.substream(purpose, self.snr_db, self.shots, *extra)
+        return rngmod.substream(self.seed, purpose, self.snr_db, self.shots,
+                                *extra)
 
     def build_model(self) -> CaeModel:
         return CaeModel.build(self.k, self.n_ch, self.cell_substream("init"),
                               hidden=self.hidden, dtype=self.dtype)
 
 
-def task_sequence(cfg: RunConfig, model: CaeModel):
-    """Yield (sequence_index, h, task) with draws keyed only by
-    (seed, snr, shots, sequence) so every method sees the same channels and
-    pilot noise.  Every runner starts here, so cfg.meta is validated here."""
-    cfg.meta.validate()
+def channel_sequence(cfg: RunConfig):
+    """Yield (sequence_index, h): the cell's AR(1) channel realizations,
+    drawn from the ("channel", snr, shots) substream alone."""
     fading = FadingProcess(cfg.rho, cfg.n_ch, cfg.cell_substream("channel"),
                            dtype=cfg.dtype)
     for i in range(1, cfg.n_sequences + 1):
-        h = fading.step()
+        yield i, fading.step()
+
+
+def task_sequence(cfg: RunConfig, model: CaeModel):
+    """Yield (sequence_index, h, task): channel_sequence plus pilot noise
+    keyed only by (seed, snr, shots, sequence), so every method sees the same
+    pilots.  Every CAE runner starts here, so cfg.meta is validated here."""
+    cfg.meta.validate()
+    for i, h in channel_sequence(cfg):
         task = make_pilot_task(model, h, cfg.sigma2, cfg.shots,
                                cfg.cell_substream("pilots", i),
                                query_shots=cfg.query_shots)
         yield i, h, task
+
+
+def sequence_ser(model: CaeModel, cfg: RunConfig, i: int, h: np.ndarray,
+                 theta: np.ndarray) -> float:
+    """evaluate_ser of sequence i's fine-tuned theta on the ("eval", i)
+    substream; a non-finite theta, which would still score a plausible SER,
+    raises FloatingPointError naming snr, shots and sequence."""
+    if not np.isfinite(theta).all():
+        raise FloatingPointError(
+            f"non-finite parameters after the fine-tune at snr "
+            f"{cfg.snr_db:g} dB, shots {cfg.shots}, sequence {i}")
+    return evaluate_ser(model, h, NoiseModel(cfg.sigma2), cfg.n_eval,
+                        cfg.cell_substream("eval", i), theta=theta)
 
 
 def theta_hash(theta: np.ndarray) -> str:
@@ -333,7 +350,6 @@ def online_run(cfg: RunConfig, model: CaeModel = None,
     theta_star = theta
     buffer = TaskBuffer(cfg.meta.buffer_capacity)
     sample_rng = cfg.cell_substream("task-sampling")
-    noise = NoiseModel(cfg.sigma2)
     adam = AdamState.fresh(theta.shape[-1], dtype=theta.dtype)
     chunks = _chunk_schedule(cfg.meta.outer_iters, cfg.n_sequences)
     done = 0
@@ -341,8 +357,7 @@ def online_run(cfg: RunConfig, model: CaeModel = None,
     for i, h, task in task_sequence(cfg, model):
         theta_star = inner_adapt(model, theta, task, cfg.meta.finetune_iters,
                                  cfg.meta.inner_lr)
-        ser = evaluate_ser(model, h, noise, cfg.n_eval,
-                           cfg.cell_substream("eval", i), theta=theta_star)
+        ser = sequence_ser(model, cfg, i, h, theta_star)
         buffer.append(task)
         chunk = chunks[i - 1]
         if chunk > 0:

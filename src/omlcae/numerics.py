@@ -243,22 +243,23 @@ def softmax_cross_entropy(logits: np.ndarray, label: int):
     return float(loss), grad
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Moment estimates for Adam; create with AdamState.fresh(n)."""
+    """Adam moments and step count (decay rates and epsilon are the ADAM_
+    constants); create with AdamState.fresh(n)."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     scratch: np.ndarray = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def fresh(cls, n_params: int, dtype=np.float64, **kwargs) -> "AdamState":
+    def fresh(cls, n_params: int, dtype=np.float64) -> "AdamState":
         return cls(m=np.zeros(n_params, dtype=dtype),
-                   v=np.zeros(n_params, dtype=dtype), **kwargs)
+                   v=np.zeros(n_params, dtype=dtype))
 
 
 def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, lr: float):
@@ -268,18 +269,15 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, lr: float)
     t = state.t + 1
     dtype = params.dtype
     # elementwise work with out= to keep temporaries off the hot path
-    m = np.multiply(state.m, dtype.type(state.beta1))
-    m += dtype.type(1.0 - state.beta1) * grad
-    v = np.multiply(state.v, dtype.type(state.beta2))
-    v += dtype.type(1.0 - state.beta2) * grad * grad
-    update = np.sqrt(v / dtype.type(1.0 - state.beta2 ** t))
-    update += dtype.type(state.epsilon)
+    m = np.multiply(state.m, dtype.type(ADAM_BETA1))
+    m += dtype.type(1.0 - ADAM_BETA1) * grad
+    v = np.multiply(state.v, dtype.type(ADAM_BETA2))
+    v += dtype.type(1.0 - ADAM_BETA2) * grad * grad
+    update = np.sqrt(v / dtype.type(1.0 - ADAM_BETA2 ** t))
+    update += dtype.type(ADAM_EPSILON)
     np.divide(m, update, out=update)
-    update *= dtype.type(lr / (1.0 - state.beta1 ** t))
-    new_params = params - update
-    new_state = AdamState(m=m, v=v, t=t, beta1=state.beta1,
-                          beta2=state.beta2, epsilon=state.epsilon)
-    return new_state, new_params
+    update *= dtype.type(lr / (1.0 - ADAM_BETA1 ** t))
+    return AdamState(m=m, v=v, t=t), params - update
 
 
 def adam_step_inplace(state: AdamState, params: np.ndarray, grad: np.ndarray,
@@ -299,17 +297,17 @@ def adam_step_inplace(state: AdamState, params: np.ndarray, grad: np.ndarray,
     tmp = state.scratch
     if tmp is None or tmp.shape != params.shape:
         tmp = state.scratch = np.empty_like(params)
-    state.m *= dtype.type(state.beta1)
-    state.m += dtype.type(1.0 - state.beta1) * grad
-    state.v *= dtype.type(state.beta2)
-    np.multiply(dtype.type(1.0 - state.beta2), grad, out=tmp)
+    state.m *= dtype.type(ADAM_BETA1)
+    state.m += dtype.type(1.0 - ADAM_BETA1) * grad
+    state.v *= dtype.type(ADAM_BETA2)
+    np.multiply(dtype.type(1.0 - ADAM_BETA2), grad, out=tmp)
     tmp *= grad
     state.v += tmp
-    np.divide(state.v, dtype.type(1.0 - state.beta2 ** t), out=tmp)
+    np.divide(state.v, dtype.type(1.0 - ADAM_BETA2 ** t), out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += dtype.type(state.epsilon)
+    tmp += dtype.type(ADAM_EPSILON)
     np.divide(state.m, tmp, out=tmp)
-    tmp *= dtype.type(lr / (1.0 - state.beta1 ** t))
+    tmp *= dtype.type(lr / (1.0 - ADAM_BETA1 ** t))
     if out is None:
         return state, params - tmp
     np.subtract(params, tmp, out=out)

@@ -7,9 +7,9 @@ import pytest
 
 from omlcae import baselines, metalearn
 from omlcae import rng as rngmod
-from omlcae.baselines import (QPSK_POINTS, QpskConfig, _joint_train,
-                              mle_channel_estimate, qpsk_mle_ser, run_joint_cae,
-                              run_qpsk_mle, run_scratch_cae)
+from omlcae.baselines import (QPSK_POINTS, _joint_train, mle_channel_estimate,
+                              qpsk_mle_ser, run_joint_cae, run_qpsk_mle,
+                              run_scratch_cae)
 from omlcae.cae import CaeModel, evaluate_ser
 from omlcae.channel import NoiseModel, awgn, cmul, rayleigh_sample
 from omlcae.metalearn import (MetaConfig, RunConfig, inner_adapt,
@@ -30,9 +30,10 @@ def test_qpsk_gray_map_unit_energy_and_adjacency():
 
 
 def test_qpsk_config_requires_even_k():
-    assert QpskConfig(4).n_ch == 2
-    with pytest.raises(ValueError):
-        QpskConfig(3)
+    h = rayleigh_sample(rngmod.substream(0, "odd-k"), 2)
+    with pytest.raises(ValueError, match="even"):
+        qpsk_mle_ser(h, NoiseModel(0.1), 1, 3, 10,
+                     rngmod.substream(0, "odd-k-eval"))
 
 
 def test_mle_estimate_exact_on_noiseless_pilots():
@@ -197,7 +198,7 @@ def test_run_qpsk_requires_matching_dims():
         run_qpsk_mle(cfg)
 
 
-def test_runners_share_the_channel_sequence():
+def test_runners_share_the_channel_sequence(monkeypatch):
     meta = MetaConfig(outer_iters=2, finetune_iters=5)
     cfg = RunConfig(k=2, n_ch=1, snr_db=5.0, shots=1, n_sequences=3,
                     n_eval=100, seed=2, meta=meta, hidden=8)
@@ -205,3 +206,11 @@ def test_runners_share_the_channel_sequence():
     r_qpsk = run_qpsk_mle(cfg)
     assert [i for i, _ in r_cae] == [i for i, _ in r_qpsk] == [1, 2, 3]
     assert all(0.0 <= s <= 1.0 for _, s in r_cae + r_qpsk)
+
+    # QPSK+MLE runs on the channel stream alone: no CAE, no CAE pilots
+    def unused(*args, **kwargs):
+        raise AssertionError("QPSK+MLE must not build a CAE or its pilots")
+
+    monkeypatch.setattr(metalearn, "make_pilot_task", unused)
+    monkeypatch.setattr(CaeModel, "build", unused)
+    assert run_qpsk_mle(cfg) == r_qpsk

@@ -6,7 +6,7 @@ import pytest
 from omlcae import rng as rngmod
 from omlcae.cae import (CaeModel, codebook, decode, encode, evaluate_ser,
                         loss_and_grads, normalize_power, one_hot_batch,
-                        pipeline_loss_grads)
+                        pipeline_loss_grads, transmit)
 from omlcae.channel import NoiseModel, awgn, rayleigh_sample
 from omlcae.numerics import finite_diff_grad
 
@@ -164,6 +164,28 @@ def test_evaluate_ser_seed_consistency():
     assert abs(s1 - s2) < 3 * np.sqrt(2) * sigma
     with pytest.raises(ValueError):
         evaluate_ser(model, h, nm, 0, rngmod.substream(9, "e3"))
+
+
+def test_transmit_draws_and_decodes_what_evaluate_ser_scores():
+    model = small_model(k=2)
+    h = np.array([0.6, -0.8])
+    nm = NoiseModel(0.3)
+    sent, received, decided = transmit(model, model.params, h, nm, 500,
+                                       rngmod.substream(10, "tx"))
+    assert sent.shape == decided.shape == (500,)
+    assert received.shape == (500, 2)
+    # message indices first, then the noise, from the one generator
+    rng = rngmod.substream(10, "tx")
+    idx = rng.integers(0, model.n_messages, size=500)
+    noise = awgn(rng, 1, nm.sigma2, size=500)
+    assert np.array_equal(sent, idx)
+    cw = codebook(model)[idx]
+    want = np.stack([cw[:, 0] * h[0] - cw[:, 1] * h[1],
+                     cw[:, 0] * h[1] + cw[:, 1] * h[0]], axis=-1) + noise
+    assert np.allclose(received, want, atol=1e-12)
+    assert np.array_equal(decided, np.argmax(decode(model, received), axis=-1))
+    ser = evaluate_ser(model, h, nm, 500, rngmod.substream(10, "tx"))
+    assert ser == np.mean(decided != sent)
 
 
 def test_relabeling_permutes_model_consistently():

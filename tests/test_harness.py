@@ -68,6 +68,12 @@ def test_apply_profile_fills_fields():
     assert cfg.dtype == "float64" and cfg.query_shots is None
     assert cfg.meta.outer_rule == "fomaml" and cfg.meta.outer_lr == 1e-4
     assert cfg.meta == parse_config(None, {"profile": "paper"}).meta
+    # the profiles leave dtype to the config
+    for profile in ("desk", "paper"):
+        cfg = apply_profile(ExperimentConfig(profile=profile, dtype="float32"))
+        assert cfg.dtype == "float32"
+        assert parse_config(None, {"profile": profile,
+                                   "dtype": "float32"}).dtype == "float32"
 
 
 def test_run_experiment_writes_csvs(tmp_path):
@@ -84,6 +90,18 @@ def test_run_experiment_writes_csvs(tmp_path):
     back = read_metrics_csv(metrics)
     assert [(r.method, r.sequence, r.ser) for r in back] == \
            [(r.method, r.sequence, r.ser) for r in records]
+
+
+@pytest.mark.parametrize("method", ["oml_cae", "cae", "joint_cae"])
+def test_non_finite_parameters_fail_loudly(tmp_path, method):
+    # a diverging fine-tune must raise, naming the cell and the sequence,
+    # instead of reporting the SER of NaN parameters
+    meta = MetaConfig(inner_lr=1e4, outer_iters=2, finetune_iters=20)
+    cfg = tiny_cfg(tmp_path, methods=(method,), meta=meta)
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError,
+            match=f"^{method}: .*snr 5 dB, shots 1, sequence 1$"):
+        run_experiment(cfg, write=False)
 
 
 def test_run_experiment_deterministic_outputs(tmp_path):
@@ -242,6 +260,12 @@ def test_parse_config_rejects_unknown_keys(tmp_path):
         parse_config(str(path), {})
     with pytest.raises(ValueError):
         parse_config(None, {"mystery": 1})
+    # an unknown profile is a config error, not a KeyError
+    path.write_text("[experiment]\nprofile = bogus\n")
+    with pytest.raises(ValueError, match="profile"):
+        parse_config(str(path), {})
+    with pytest.raises(ValueError, match="profile"):
+        apply_profile(ExperimentConfig(profile="bogus")).validate()
 
 
 def test_parse_config_constraint_error_names_key():

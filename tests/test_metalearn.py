@@ -10,10 +10,10 @@ from omlcae.cae import CaeModel, loss_and_grads
 from omlcae.channel import rayleigh_sample, snr_to_sigma2
 from omlcae.cae import pipeline_loss_grads
 from omlcae.metalearn import (OUTER_RULES, MetaConfig, RunConfig, Task,
-                              TaskBuffer, _stack_tasks, buffer_push, inner_adapt,
-                              make_pilot_task, meta_train, online_run,
-                              outer_meta_step, run_sgd, task_sequence,
-                              theta_hash)
+                              TaskBuffer, _stack_tasks, buffer_push,
+                              channel_sequence, inner_adapt, make_pilot_task,
+                              meta_train, online_run, outer_meta_step, run_sgd,
+                              task_sequence, theta_hash)
 from omlcae.numerics import AdamState, adam_step, step_lr
 
 
@@ -284,9 +284,12 @@ def test_task_sequence_method_insensitive_and_deterministic():
     seq1 = [(i, h.copy(), t.support.copy())
             for i, h, t in task_sequence(cfg, model)]
     seq2 = list(task_sequence(cfg, model))
-    for (i1, h1, n1), (i2, h2, t2) in zip(seq1, seq2):
-        assert i1 == i2
+    channels = list(channel_sequence(cfg))
+    assert len(seq1) == len(seq2) == len(channels) == 4
+    for (i1, h1, n1), (i2, h2, t2), (i3, h3) in zip(seq1, seq2, channels):
+        assert i1 == i2 == i3
         assert np.array_equal(h1, h2)
+        assert np.array_equal(h1, h3)
         assert np.array_equal(n1, t2.support)
 
 
