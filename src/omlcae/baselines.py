@@ -13,7 +13,7 @@ import numpy as np
 from .cae import CaeModel, pipeline_loss_grads
 from .channel import NoiseModel, awgn, cmul
 from .metalearn import (RunConfig, _chunk_schedule, channel_sequence,
-                        inner_adapt, sequence_ser, task_sequence)
+                        fine_tune_blocks, task_sequence)
 
 # Gray map: bit pair (b0, b1) -> unit-energy QPSK point, indexed by 2*b0+b1.
 # 00 -> (+1+j)/sqrt2, 01 -> (-1+j)/sqrt2, 10 -> (+1-j)/sqrt2, 11 -> (-1-j)/sqrt2.
@@ -120,18 +120,14 @@ def _joint_train(model: CaeModel, theta: np.ndarray, store, iters: int,
 def run_scratch_cae(cfg: RunConfig, model: CaeModel = None):
     """Scratch-CAE over the shared task sequence; returns [(sequence, ser)].
 
-    Per sequence: fresh init, finetune_iters SGD steps on the support set,
-    evaluate.
+    Per sequence: fresh init, finetune_iters SGD steps on the support set
+    (in fine_tune_blocks), evaluate.
     """
     if model is None:
         model = cfg.build_model()
-    results = []
-    for i, h, task in task_sequence(cfg, model):
-        theta = model.init_like(cfg.cell_substream("scratch-init", i))
-        theta = inner_adapt(model, theta, task, cfg.meta.finetune_iters,
-                            cfg.meta.inner_lr)
-        results.append((i, sequence_ser(model, cfg, i, h, theta)))
-    return results
+    starts = ((i, h, task, model.init_like(cfg.cell_substream("scratch-init", i)))
+              for i, h, task in task_sequence(cfg, model))
+    return [(i, ser) for i, ser, _ in fine_tune_blocks(model, cfg, starts)[0]]
 
 
 def run_joint_cae(cfg: RunConfig, model: CaeModel = None,
@@ -148,19 +144,19 @@ def run_joint_cae(cfg: RunConfig, model: CaeModel = None,
     if model is None:
         model = cfg.build_model()
     chunks = _chunk_schedule(cfg.meta.outer_iters, cfg.n_sequences)
-    theta = model.params.copy()
-    store = deque(maxlen=store_capacity)
-    sample_rng = cfg.cell_substream("joint-sample")
-    results = []
-    for i, h, task in task_sequence(cfg, model):
-        store.append(task)
-        theta = _joint_train(model, theta, store, chunks[i - 1],
-                             cfg.meta.inner_lr, cfg.meta.tasks_per_update,
-                             sample_rng)
-        theta_ft = inner_adapt(model, theta, task, cfg.meta.finetune_iters,
-                               cfg.meta.inner_lr)
-        results.append((i, sequence_ser(model, cfg, i, h, theta_ft)))
-    return results
+
+    def starts():
+        theta = model.params.copy()
+        store = deque(maxlen=store_capacity)
+        sample_rng = cfg.cell_substream("joint-sample")
+        for i, h, task in task_sequence(cfg, model):
+            store.append(task)
+            theta = _joint_train(model, theta, store, chunks[i - 1],
+                                 cfg.meta.inner_lr, cfg.meta.tasks_per_update,
+                                 sample_rng)
+            yield i, h, task, theta  # _joint_train never writes its theta
+
+    return [(i, ser) for i, ser, _ in fine_tune_blocks(model, cfg, starts())[0]]
 
 
 def run_qpsk_mle(cfg: RunConfig):

@@ -82,7 +82,7 @@ def normalize_power(raw: np.ndarray, n_ch: int, repeats: int = 1):
     energy counts each row repeats times.  Returns (x, scale, energy) for the
     backward pass.
     """
-    energy = repeats * np.sum(raw * raw, axis=(-1, -2), keepdims=True) + NORM_EPS
+    energy = repeats * (raw * raw).sum(axis=(-1, -2), keepdims=True) + NORM_EPS
     batch = raw.shape[-2] * repeats
     scale = np.sqrt(batch * n_ch / energy)
     return raw * scale, scale, energy
@@ -93,7 +93,7 @@ def _normalize_backward(g_x, raw, scale, energy, repeats: int = 1):
     # with repeats > 1, g_x must already be summed over the repeat groups; the
     # global energy-correction term then recurs once per duplicate row, hence
     # the extra repeats factor
-    inner = np.sum(g_x * raw, axis=(-1, -2), keepdims=True)
+    inner = (g_x * raw).sum(axis=(-1, -2), keepdims=True)
     return scale * g_x - (repeats * scale / energy) * raw * inner
 
 
@@ -191,7 +191,7 @@ def pipeline_loss_grads(model: CaeModel, theta: np.ndarray, onehot: np.ndarray,
         loss = None
 
     g_logits = probs - labels
-    lead = np.broadcast_shapes(theta.shape[:-1], g_logits.shape[:-2])
+    lead = g_logits.shape[:-2]  # theta's and the inputs' broadcast together
     reduce = mean_grads and len(lead) > 0
     # the mean over stacked tasks folds into the loss normalizer, since the
     # parameter gradient is linear in the output gradient
@@ -210,7 +210,8 @@ def pipeline_loss_grads(model: CaeModel, theta: np.ndarray, onehot: np.ndarray,
         g_x = g_x.reshape(g_x.shape[:-2] + (-1, repeats, d)).sum(axis=-2)
     g_raw = _normalize_backward(g_x, raw, scale, energy, repeats=repeats)
     mlp_backward(enc_spec, theta[..., :split], enc_cache, g_raw,
-                 out=grads[..., :split], reduce_lead=reduce)
+                 out=grads[..., :split], reduce_lead=reduce,
+                 want_input_grad=False)
     return loss, grads
 
 

@@ -33,9 +33,9 @@ def cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise complex product of interleaved (..., 2n) arrays."""
     ar, ai = a[..., 0::2], a[..., 1::2]
     br, bi = b[..., 0::2], b[..., 1::2]
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    out = np.empty(shape, dtype=np.result_type(a, b))
-    out[..., 0::2] = ar * br - ai * bi
+    re = ar * br - ai * bi
+    out = np.empty(re.shape[:-1] + (2 * re.shape[-1],), dtype=re.dtype)
+    out[..., 0::2] = re
     out[..., 1::2] = ar * bi + ai * br
     return out
 
@@ -44,9 +44,9 @@ def cmul_conj(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """conj(a) * b for interleaved arrays; the adjoint of y = a*x w.r.t. x."""
     ar, ai = a[..., 0::2], a[..., 1::2]
     br, bi = b[..., 0::2], b[..., 1::2]
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    out = np.empty(shape, dtype=np.result_type(a, b))
-    out[..., 0::2] = ar * br + ai * bi
+    re = ar * br + ai * bi
+    out = np.empty(re.shape[:-1] + (2 * re.shape[-1],), dtype=re.dtype)
+    out[..., 0::2] = re
     out[..., 1::2] = ar * bi - ai * br
     return out
 

@@ -17,9 +17,10 @@ import numpy as np
 from . import rng as rngmod
 from .cae import CaeModel, loss_and_grads
 from .channel import FadingProcess, NoiseModel, rayleigh_sample, snr_to_sigma2, to_complex
-from .harness import (_EXPERIMENT_KEYS, PROFILES, efficiency_analysis,
-                      export_constellation, mean_efficiency_ratio, parse_config,
-                      read_metrics_csv, run_experiment, summarize)
+from .harness import (_EXPERIMENT_KEYS, PROFILES, ExperimentConfig,
+                      efficiency_analysis, export_constellation,
+                      mean_efficiency_ratio, parse_config, read_metrics_csv,
+                      run_experiment, summarize)
 from .metalearn import (MetaConfig, RunConfig, inner_adapt, make_pilot_task,
                         online_run, task_sequence)
 from .numerics import finite_diff_grad
@@ -53,18 +54,20 @@ def _cmd_run(args):
               f"mean SER {mean_ser:.4g} over {n} sequences")
 
 
-def _mean_ser_by_shots(records, method_prefix):
-    cells = {}
-    for r in records:
-        if method_prefix and not r.method.startswith(method_prefix):
-            continue
-        cells.setdefault(r.shots, []).append(r.ser)
-    return sorted((shots, float(np.mean(v))) for shots, v in cells.items())
+def _efficiency_curve(path, method_prefix):
+    """(shots, post-warm-up mean SER) of the method's cells, as in summary.csv."""
+    cells = summarize(read_metrics_csv(path), ExperimentConfig.warmup)
+    snrs = sorted({snr for _, snr, *_ in cells})
+    if len(snrs) > 1:
+        raise SystemExit(f"omlcae efficiency: {path} holds {len(snrs)} SNRs ("
+                         f"{', '.join(map('{:g}'.format, snrs))} dB); pass one per CSV")
+    return sorted((shots, ser) for method, _, shots, ser, _, _ in cells
+                  if method.startswith(method_prefix))
 
 
 def _cmd_efficiency(args):
-    oml = _mean_ser_by_shots(read_metrics_csv(args.oml), "oml")
-    cae = _mean_ser_by_shots(read_metrics_csv(args.cae), "cae")
+    oml = _efficiency_curve(args.oml, "oml")
+    cae = _efficiency_curve(args.cae, "cae")
     rows = efficiency_analysis(oml, cae)
     lines = ["target_ser,oml_shots,cae_equivalent_shots,ratio,reachable"]
     for r in rows:
@@ -77,6 +80,9 @@ def _cmd_efficiency(args):
 
 
 def _cmd_constellation(args):
+    if args.method == "oml_cae" and args.sequences < 2:
+        raise SystemExit("omlcae constellation: --method oml_cae needs --sequences"
+                         " >= 2; sequence 1 fine-tunes the untrained init, as cae does")
     meta = MetaConfig(finetune_iters=args.iters, outer_iters=args.meta_iters)
     cfg = RunConfig(k=args.bits, n_ch=args.channel_uses, snr_db=args.snr_db,
                     shots=args.shots, n_sequences=args.sequences,

@@ -31,6 +31,7 @@ rate schedule continue across sequences.
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
@@ -152,10 +153,14 @@ def run_sgd(model: CaeModel, theta: np.ndarray, batch, steps: int, lr: float,
     return theta
 
 
-def inner_adapt(model: CaeModel, theta: np.ndarray, task: Task, steps: int,
+def inner_adapt(model: CaeModel, theta: np.ndarray, task, steps: int,
                 alpha: float) -> np.ndarray:
-    """Full-batch SGD on the task's support loss; returns a new vector."""
-    batch = pilot_batch(model, task.support, task.h, theta.dtype)
+    """Full-batch SGD on the support loss of one task from a (P,) theta, or
+    of a list of T tasks from a (T, P) theta, bitwise equal to T separate
+    calls (a (P,) theta broadcast over T tasks is not); returns a new array."""
+    batch = (_stack_tasks(model, task, "support", theta.dtype)
+             if isinstance(task, list) else
+             pilot_batch(model, task.support, task.h, theta.dtype))
     return run_sgd(model, theta.copy(), batch, steps, alpha)
 
 
@@ -313,7 +318,33 @@ def sequence_ser(model: CaeModel, cfg: RunConfig, i: int, h: np.ndarray,
 
 
 def theta_hash(theta: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(theta).tobytes()).hexdigest()
+    return hashlib.sha256(np.ascontiguousarray(theta)).hexdigest()  # no copy
+
+
+# T * P * itemsize budget of a fine-tune block: T = 8 at the desk width in
+# float64, 1 at the paper width, where a step is BLAS-bound
+FINE_TUNE_BLOCK_BYTES = 2 ** 20
+
+
+def fine_tune_blocks(model: CaeModel, cfg: RunConfig, starts):
+    """Fine-tune and score each (i, h, task, start theta) of the iterator
+    starts; returns [(i, ser, theta_hash)] in order and the last block's
+    fine-tuned (T, P) stack.  A fine-tune feeds only its own score, so runs
+    of sequences fine-tune as one inner_adapt call on their stacked start
+    thetas; a block is scored before the next is pulled from starts."""
+    width = max(1, FINE_TUNE_BLOCK_BYTES // model.params.nbytes)
+    rows, tuned = [], None
+    while block := list(islice(starts, width)):
+        seqs, tasks = [b[:2] for b in block], [b[2] for b in block]
+        start = np.stack([b[3] for b in block])
+        del block, tuned  # while fine-tuning, only the stack holds the starts
+        tuned = inner_adapt(model, start, tasks, cfg.meta.finetune_iters,
+                            cfg.meta.inner_lr)
+        del start  # and while scoring, only this block's results are alive
+        for j, (i, h) in enumerate(seqs):
+            rows.append((i, sequence_ser(model, cfg, i, h, tuned[j]),
+                         theta_hash(tuned[j])))
+    return rows, tuned
 
 
 @dataclass
@@ -340,32 +371,28 @@ def online_run(cfg: RunConfig, model: CaeModel = None,
     run: it is split uniformly over the sequences, and the Adam state plus the
     step-decay schedule carry across sequences, so the updates interleaved
     with the sequence loop form one continuous meta-training run over the
-    evolving buffer.
+    evolving buffer.  Sequence i fine-tunes (in fine_tune_blocks) from the
+    initialization meta-trained through sequence i - 1.
 
     With return_final_theta=True also returns the last sequence's fine-tuned
     parameter vector (for constellation export)."""
     if model is None:
         model = cfg.build_model()
-    theta = model.params
-    theta_star = theta
-    buffer = TaskBuffer(cfg.meta.buffer_capacity)
-    sample_rng = cfg.cell_substream("task-sampling")
-    adam = AdamState.fresh(theta.shape[-1], dtype=theta.dtype)
     chunks = _chunk_schedule(cfg.meta.outer_iters, cfg.n_sequences)
-    done = 0
-    results = []
-    for i, h, task in task_sequence(cfg, model):
-        theta_star = inner_adapt(model, theta, task, cfg.meta.finetune_iters,
-                                 cfg.meta.inner_lr)
-        ser = sequence_ser(model, cfg, i, h, theta_star)
-        buffer.append(task)
-        chunk = chunks[i - 1]
-        if chunk > 0:
-            per_call = replace(cfg.meta, outer_iters=chunk)
-            theta = meta_train(model, theta, buffer, per_call, sample_rng,
-                               iter_offset=done, adam=adam)
-            done += chunk
-        results.append(SequenceResult(i, ser, theta_hash(theta_star)))
-    if return_final_theta:
-        return results, theta_star
-    return results
+
+    def starts():
+        theta = model.params
+        buffer = TaskBuffer(cfg.meta.buffer_capacity)
+        sample_rng = cfg.cell_substream("task-sampling")
+        adam = AdamState.fresh(theta.shape[-1], dtype=theta.dtype)
+        for i, h, task in task_sequence(cfg, model):
+            yield i, h, task, theta  # meta_train never writes its theta
+            buffer.append(task)
+            if chunks[i - 1] > 0:
+                per_call = replace(cfg.meta, outer_iters=chunks[i - 1])
+                theta = meta_train(model, theta, buffer, per_call, sample_rng,
+                                   iter_offset=sum(chunks[:i - 1]), adam=adam)
+
+    rows, last_block = fine_tune_blocks(model, cfg, starts())
+    results = [SequenceResult(*row) for row in rows]
+    return (results, last_block[-1]) if return_final_theta else results

@@ -13,13 +13,15 @@ gradient of a softmax head.
 All core routines accept arbitrary leading axes on both the parameter vector
 and the inputs, so a stack of T task-adapted parameter vectors of shape (T, P)
 can be pushed through the network against inputs of shape (T, B, d) in one
-call.  This is what makes meta-training tractable in pure NumPy.
+call, bitwise equal to T separate calls (_matmul runs one GEMM per slice).
+This is what makes meta-training tractable in pure NumPy.
 
 The pure adam_step and softmax_cross_entropy are the test references for the
 in-place Adam and the fused pipeline loss.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,28 +52,24 @@ class MlpSpec:
                 f"got {self.output_activation!r}"
             )
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_dims) - 1
-
-    @property
+    @cached_property
     def n_params(self) -> int:
-        dims = self.layer_dims
-        return sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(self.n_layers))
+        return self._layout[-1][1].stop
 
     def layout(self):
-        """Per-layer (weight_slice, bias_slice, out_dim, in_dim) tuples."""
-        out = []
-        offset = 0
-        dims = self.layer_dims
-        for i in range(self.n_layers):
-            d_in, d_out = dims[i], dims[i + 1]
+        """Per-layer (weight_slice, bias_slice, out_dim, in_dim) tuples,
+        computed once per spec, since every training step reads them."""
+        return self._layout
+
+    @cached_property
+    def _layout(self):
+        out, offset = [], 0
+        for d_in, d_out in zip(self.layer_dims, self.layer_dims[1:]):
             w_sl = slice(offset, offset + d_out * d_in)
             offset += d_out * d_in
-            b_sl = slice(offset, offset + d_out)
+            out.append((w_sl, slice(offset, offset + d_out), d_out, d_in))
             offset += d_out
-            out.append((w_sl, b_sl, d_out, d_in))
-        return out
+        return tuple(out)
 
 
 def unpack_params(spec: MlpSpec, theta: np.ndarray):
@@ -118,12 +116,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """matmul that prefers flat 2-D BLAS calls over strided batched kernels.
-
-    Stacked operands with a small leading axis go through a per-slice dot
-    loop, and a stack against a plain matrix is flattened into one call;
-    both are markedly faster than np.matmul's batched path at these sizes.
-    """
+    """np.matmul, except that a (T, m, k) stack times a (k, n) matrix is one
+    flat (T*m, k) x (k, n) call: faster here, and outputs depend on its
+    rounding.  Stacked (T, m, k) x (T, k, n) operands, transposed views
+    included, get one GEMM per slice, bitwise equal to per-slice np.dot."""
     if a.ndim == 3 and b.ndim == 2:
         flat = np.matmul(a.reshape(-1, a.shape[-1]), b)
         res = flat.reshape(a.shape[:-1] + (b.shape[-1],))
@@ -131,14 +127,7 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray = None) -> np.ndarray:
             out[...] = res
             return out
         return res
-    if a.ndim == 3 and b.ndim == 3 and a.shape[0] == b.shape[0] <= 8:
-        if out is None:
-            out = np.empty(a.shape[:-1] + (b.shape[-1],),
-                           dtype=np.result_type(a, b))
-        for i in range(a.shape[0]):
-            np.dot(a[i], b[i], out=out[i])
-        return out
-    return np.matmul(a, b, out=out) if out is not None else np.matmul(a, b)
+    return np.matmul(a, b, out=out)
 
 
 def mlp_forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray):
@@ -158,10 +147,10 @@ def mlp_forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray):
     layers = unpack_params(spec, theta)
     inputs = []   # activation feeding each layer
     preacts = []  # z = a @ W^T + b per layer
-    n = spec.n_layers
+    n = len(layers)
     for i, (w, b) in enumerate(layers):
         inputs.append(a)
-        z = _matmul(a, np.swapaxes(w, -1, -2)) + b[..., None, :]
+        z = _matmul(a, w.swapaxes(-1, -2)) + b[..., None, :]
         preacts.append(z)
         if i < n - 1:
             a = leaky_relu(z)
@@ -175,7 +164,8 @@ def mlp_forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray):
 
 
 def mlp_backward(spec: MlpSpec, theta: np.ndarray, cache, output_grad: np.ndarray,
-                 out: np.ndarray = None, reduce_lead: bool = False):
+                 out: np.ndarray = None, reduce_lead: bool = False,
+                 want_input_grad: bool = True):
     """Exact reverse-mode gradient through the network.
 
     output_grad is dL/d(pre-activation of the last layer): the output
@@ -187,14 +177,14 @@ def mlp_backward(spec: MlpSpec, theta: np.ndarray, cache, output_grad: np.ndarra
     reduce_lead=True sums the parameter gradient over the leading (stacked
     task) axes into a single flat vector, which folds the per-task weight
     gradients into one flat matrix product; input_grad stays per-task.
+    want_input_grad=False skips the first layer's input gradient (None).
     """
     layers, inputs, preacts, single = cache
     delta = output_grad[None, :] if single else output_grad
-    n = spec.n_layers
     dtype = np.dtype(delta.dtype)
 
-    lead = np.broadcast_shapes(theta.shape[:-1], delta.shape[:-2])
-    grad_lead = () if reduce_lead else lead
+    # delta has the forward output's leading axes: theta's and x's broadcast
+    grad_lead = () if reduce_lead else delta.shape[:-2]
     if out is None:
         param_grad = np.empty(grad_lead + (spec.n_params,), dtype=dtype)
     else:
@@ -203,8 +193,7 @@ def mlp_backward(spec: MlpSpec, theta: np.ndarray, cache, output_grad: np.ndarra
         param_grad = out
     layout = spec.layout()
 
-    for i in range(n - 1, -1, -1):
-        w, _ = layers[i]
+    for i in range(len(layers) - 1, -1, -1):
         a_in = inputs[i]
         w_sl, b_sl, d_out, d_in = layout[i]
         dw = param_grad[..., w_sl].reshape(grad_lead + (d_out, d_in))
@@ -216,15 +205,16 @@ def mlp_backward(spec: MlpSpec, theta: np.ndarray, cache, output_grad: np.ndarra
                 # input shared across the stacked axes: sum deltas first
                 np.dot(delta.sum(axis=tuple(range(delta.ndim - 2))).T,
                        a_in, out=dw)
-            np.sum(d2, axis=0, out=param_grad[b_sl])
+            d2.sum(axis=0, out=param_grad[b_sl])
         else:
-            _matmul(np.swapaxes(delta, -1, -2), a_in, out=dw)
-            np.sum(delta, axis=-2, out=param_grad[..., b_sl])
-        g_prev = _matmul(delta, w)
+            _matmul(delta.swapaxes(-1, -2), a_in, out=dw)
+            delta.sum(axis=-2, out=param_grad[..., b_sl])
         if i > 0:
-            g_prev *= _leaky_grad(preacts[i - 1], dtype)  # freshly owned
-            delta = g_prev
-    input_grad = g_prev[0] if single else g_prev
+            delta = _matmul(delta, layers[i][0])
+            delta *= _leaky_grad(preacts[i - 1], dtype)  # freshly owned
+    input_grad = _matmul(delta, layers[0][0]) if want_input_grad else None
+    if single and want_input_grad:
+        input_grad = input_grad[0]
     if single and not reduce_lead:
         param_grad = param_grad.reshape(spec.n_params)
     return param_grad, input_grad

@@ -1,6 +1,7 @@
 """Unit tests for the QPSK+MLE, scratch-CAE, and joint-CAE baselines."""
 
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ from omlcae.baselines import (QPSK_POINTS, _joint_train, mle_channel_estimate,
                               run_scratch_cae)
 from omlcae.cae import CaeModel, evaluate_ser
 from omlcae.channel import NoiseModel, awgn, cmul, rayleigh_sample
-from omlcae.metalearn import (MetaConfig, RunConfig, inner_adapt,
-                              make_pilot_task, online_run)
+from omlcae.metalearn import (FINE_TUNE_BLOCK_BYTES, MetaConfig, RunConfig,
+                              TaskBuffer, _chunk_schedule, inner_adapt,
+                              make_pilot_task, meta_train, online_run,
+                              sequence_ser, task_sequence, theta_hash)
+from omlcae.numerics import AdamState
 
 
 def test_qpsk_gray_map_unit_energy_and_adjacency():
@@ -214,3 +218,66 @@ def test_runners_share_the_channel_sequence(monkeypatch):
     monkeypatch.setattr(metalearn, "make_pilot_task", unused)
     monkeypatch.setattr(CaeModel, "build", unused)
     assert run_qpsk_mle(cfg) == r_qpsk
+
+
+def _per_sequence_reference(cfg, method):
+    """Each runner as one fine-tune per sequence, right after its start
+    parameters exist; returns [(sequence, ser, theta hash)]."""
+    model = cfg.build_model()
+    meta = cfg.meta
+    chunks = _chunk_schedule(meta.outer_iters, cfg.n_sequences)
+    theta = model.params.copy()
+    buffer, store = TaskBuffer(meta.buffer_capacity), deque()
+    adam = AdamState.fresh(model.n_params)
+    rng = cfg.cell_substream("task-sampling" if method == "oml_cae"
+                             else "joint-sample")
+    rows, done = [], 0
+    for i, h, task in task_sequence(cfg, model):
+        if method == "cae":
+            theta = model.init_like(cfg.cell_substream("scratch-init", i))
+        elif method == "joint_cae":
+            store.append(task)
+            theta = _joint_train(model, theta, store, chunks[i - 1],
+                                 meta.inner_lr, meta.tasks_per_update, rng)
+        tuned = inner_adapt(model, theta, task, meta.finetune_iters,
+                            meta.inner_lr)
+        rows.append((i, sequence_ser(model, cfg, i, h, tuned),
+                     theta_hash(tuned)))
+        if method == "oml_cae":
+            buffer.append(task)
+            theta = meta_train(model, theta, buffer,
+                               replace(meta, outer_iters=chunks[i - 1]), rng,
+                               iter_offset=done, adam=adam)
+            done += chunks[i - 1]
+    return rows
+
+
+def test_blocked_runners_match_per_sequence_reference(monkeypatch):
+    # 11 desk-width sequences fine-tune in blocks of 8 and 3; rows and
+    # fine-tuned parameters equal one fine-tune per sequence, bit for bit
+    meta = MetaConfig(outer_iters=33, finetune_iters=4, adapt_steps=2,
+                      tasks_per_update=3, outer_rule="reptile",
+                      outer_lr=1e-3)
+    cfg = RunConfig(k=4, n_ch=2, snr_db=5.0, shots=1, n_sequences=11,
+                    n_eval=300, seed=2, meta=meta, hidden=64, query_shots=1)
+    width = FINE_TUNE_BLOCK_BYTES // (cfg.build_model().params.nbytes)
+    assert 1 < width < cfg.n_sequences and cfg.n_sequences % width
+    scored = []
+
+    def logged(model, cfg, i, h, theta):
+        scored.append((i, theta_hash(theta)))
+        return sequence_ser(model, cfg, i, h, theta)
+
+    monkeypatch.setattr(metalearn, "sequence_ser", logged)
+    runners = {
+        "oml_cae": lambda: [(r.sequence, r.ser_after_adapt)
+                            for r in online_run(cfg)],
+        "cae": lambda: run_scratch_cae(cfg),
+        "joint_cae": lambda: run_joint_cae(cfg),
+    }
+    for method, run in runners.items():
+        scored.clear()
+        rows = run()
+        want = _per_sequence_reference(cfg, method)
+        assert rows == [(i, ser) for i, ser, _ in want], method
+        assert scored == [(i, digest) for i, _, digest in want], method

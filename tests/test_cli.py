@@ -39,6 +39,47 @@ def test_efficiency_command(tmp_path, capsys):
     assert "mean ratio" in capsys.readouterr().out
 
 
+def _write_rows(path, rows):
+    path.write_text("method,snr_db,shots,sequence,ser,seed\n" + "".join(
+        f"{m},{snr},{shots},{seq},{ser},0\n" for m, snr, shots, seq, ser in rows))
+
+
+def _warmup_rows(method, snr, shots, late_ser):
+    # SER 1.0 through the default 15-sequence warm-up, late_ser after it
+    return [(method, snr, shots, seq, 1.0 if seq <= 15 else late_ser)
+            for seq in range(1, 21)]
+
+
+def test_efficiency_uses_post_warmup_cell_means(tmp_path, capsys):
+    # the curves are summary.csv's post-warm-up means: OML 0.05 at 1 shot,
+    # CAE 0.1 and 0.025 at 1 and 2 shots, so the CAE needs 1.5 shots
+    # (midway in log SER); means over all rows would give 0.76 and 0.78
+    oml, cae, out = tmp_path / "oml.csv", tmp_path / "cae.csv", tmp_path / "e"
+    _write_rows(oml, _warmup_rows("oml_cae", 5, 1, 0.05))
+    _write_rows(cae, _warmup_rows("cae", 5, 1, 0.1)
+                + _warmup_rows("cae", 5, 2, 0.025))
+    assert main(["efficiency", "--oml", str(oml), "--cae", str(cae),
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "0.05,1,1.5,1.5,true"
+    # a second SNR in one CSV is rejected, not averaged in
+    _write_rows(cae, _warmup_rows("cae", 5, 1, 0.1)
+                + _warmup_rows("cae", 20, 1, 0.0))
+    with pytest.raises(SystemExit, match="2 SNRs .5, 20 dB."):
+        main(["efficiency", "--oml", str(oml), "--cae", str(cae),
+              "--out", str(out)])
+
+
+def test_constellation_oml_needs_two_sequences(tmp_path):
+    # at one sequence the OML-CAE export is the scratch CAE's, byte for byte
+    args = ["constellation", "--bits", "2", "--channel-uses", "1", "--iters",
+            "5", "--meta-iters", "2", "--n-show", "4", "--method", "oml_cae"]
+    with pytest.raises(SystemExit, match="--sequences >= 2"):
+        main(args + ["--out", str(tmp_path / "one.json")])
+    assert not (tmp_path / "one.json").exists()
+    assert main(args + ["--sequences", "2",
+                        "--out", str(tmp_path / "two.json")]) == 0
+
+
 def test_constellation_command(tmp_path):
     out = tmp_path / "c.json"
     assert main(["constellation", "--bits", "2", "--channel-uses", "1",

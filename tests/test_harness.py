@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from omlcae import metalearn
 from omlcae import rng as rngmod
 from omlcae.cae import CaeModel
 from omlcae.channel import NoiseModel, rayleigh_sample
@@ -102,6 +103,29 @@ def test_non_finite_parameters_fail_loudly(tmp_path, method):
             FloatingPointError,
             match=f"^{method}: .*snr 5 dB, shots 1, sequence 1$"):
         run_experiment(cfg, write=False)
+
+
+@pytest.mark.parametrize("method", ["oml_cae", "cae", "joint_cae"])
+def test_non_finite_guard_names_a_sequence_inside_a_block(tmp_path, method,
+                                                          monkeypatch):
+    # all five sequences fine-tune in one stacked block; only sequence 3's
+    # pilots are corrupted, and the guard still names sequence 3
+    make_task, seen = metalearn.make_pilot_task, []
+
+    def corrupt_third(model, h, sigma2, shots, rng, query_shots=None):
+        task = make_task(model, h, sigma2, shots, rng, query_shots)
+        if len(seen) == 2:
+            task.support[0] = np.nan
+        seen.append(task)
+        return task
+
+    monkeypatch.setattr(metalearn, "make_pilot_task", corrupt_third)
+    cfg = tiny_cfg(tmp_path, methods=(method,), n_sequences=5)
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError,
+            match=f"^{method}: .*snr 5 dB, shots 1, sequence 3$"):
+        run_experiment(cfg, write=False)
+    assert len(seen) == 5  # the block held every sequence
 
 
 def test_run_experiment_deterministic_outputs(tmp_path):

@@ -87,19 +87,28 @@ def test_inner_adapt_one_step_is_sgd_on_support():
 @pytest.mark.parametrize("hidden", [64, 256])
 @pytest.mark.parametrize("shots", [1, 5])
 def test_stacked_fine_tune_matches_separate_inner_adapt_bitwise(hidden, shots):
-    # T tasks fine-tuned as one stacked block from a pre-stacked (T, P)
+    # T tasks fine-tuned as one inner_adapt call on a pre-stacked (T, P)
     # theta reproduce T separate fine-tunes bit for bit, at the desk (64)
-    # and paper (256) widths; batching scratch-CAE sequences relies on this
-    model = CaeModel.build(4, 2, rngmod.substream(0, "stk", hidden),
-                           hidden=hidden)
-    rng = rngmod.substream(1, "stk", hidden, shots)
-    for n_tasks in (3, 5):
-        tasks = [make_pilot_task(model, rayleigh_sample(rng, 2), 0.3, shots,
-                                 rng) for _ in range(n_tasks)]
-        want = [inner_adapt(model, model.params, t, 4, 0.05) for t in tasks]
-        batch = _stack_tasks(model, tasks, "support", model.params.dtype)
-        got = run_sgd(model, np.tile(model.params, (n_tasks, 1)), batch, 4,
-                      0.05)
+    # and paper (256) widths, in float64 and float32; fine_tune_blocks
+    # relies on this for every block size, 1 included
+    for dtype in (np.float64, np.float32):
+        model = CaeModel.build(4, 2, rngmod.substream(0, "stk", hidden),
+                               hidden=hidden, dtype=dtype)
+        rng = rngmod.substream(1, "stk", hidden, shots)
+        for n_tasks in (1, 3, 5, 8, 9):
+            tasks = [make_pilot_task(model, rayleigh_sample(rng, 2), 0.3,
+                                     shots, rng) for _ in range(n_tasks)]
+            starts = [model.init_like(rng) for _ in tasks]
+            want = [inner_adapt(model, th, t, 4, 0.05)
+                    for th, t in zip(starts, tasks)]
+            got = inner_adapt(model, np.stack(starts), tasks, 4, 0.05)
+            assert got.dtype == dtype
+            assert np.array_equal(got, np.stack(want))
+        # the meta step's support pass, from one shared theta, also matches
+        batch = _stack_tasks(model, tasks[:3], "support", dtype)
+        got = run_sgd(model, np.tile(model.params, (3, 1)), batch, 4, 0.05)
+        want = [inner_adapt(model, model.params, t, 4, 0.05)
+                for t in tasks[:3]]
         assert np.array_equal(got, np.stack(want))
 
 

@@ -129,21 +129,43 @@ def test_backward_reduce_lead_matches_stacked_sum():
     pg_red, ig_red = mlp_backward(spec, theta, cache, g, reduce_lead=True)
     assert np.allclose(pg_red, pg_full.sum(axis=0), atol=1e-12)
     assert np.allclose(ig_red, ig_full, atol=1e-12)
+    # skipping the input gradient leaves the parameter gradient bitwise equal
+    _, cache = mlp_forward(spec, theta, x)
+    pg_skip, ig_skip = mlp_backward(spec, theta, cache, g,
+                                    want_input_grad=False)
+    assert ig_skip is None and np.array_equal(pg_skip, pg_full)
 
 
 def test_matmul_dispatch_branches_match_numpy():
     rng = rngmod.substream(6, "mm")
+    # a stack against a plain matrix runs as one flat call
     a3 = rng.normal(size=(5, 7, 4))
     b2 = rng.normal(size=(4, 6))
-    b3 = rng.normal(size=(5, 4, 6))
     assert np.allclose(_matmul(a3, b2), np.matmul(a3, b2), atol=1e-12)
-    assert np.allclose(_matmul(a3, b3), np.matmul(a3, b3), atol=1e-12)
-    big = rng.normal(size=(9, 3, 4))
-    bigb = rng.normal(size=(9, 4, 2))
-    assert np.allclose(_matmul(big, bigb), np.matmul(big, bigb), atol=1e-12)
     out = np.empty((5, 7, 6))
     _matmul(a3, b2, out=out)
     assert np.allclose(out, np.matmul(a3, b2), atol=1e-12)
+    # stacked operands go to np.matmul, one GEMM per slice: bitwise equal to
+    # a per-slice np.dot on the layouts backprop uses, where the weights are
+    # views into a (T, P) parameter stack and the weight gradient is written
+    # into a view of a (T, P) gradient stack
+    for dtype in (np.float64, np.float32):
+        for n_tasks in (1, 5, 9):
+            theta = rng.normal(size=(n_tasks, 3 + 64 * 16)).astype(dtype)
+            w = theta[:, 3:].reshape(n_tasks, 64, 16)   # (out, in)
+            x = rng.normal(size=(n_tasks, 80, 16)).astype(dtype)
+            delta = rng.normal(size=(n_tasks, 80, 64)).astype(dtype)
+            layouts = ((x, np.swapaxes(w, -1, -2)),           # forward
+                       (np.swapaxes(delta, -1, -2), x),       # weight grad
+                       (delta, w))                            # input grad
+            for a, b in layouts:
+                want = np.stack([np.dot(a[t], b[t]) for t in range(n_tasks)])
+                assert np.array_equal(_matmul(a, b), want)
+            grads = np.empty_like(theta)
+            dw = grads[:, 3:].reshape(n_tasks, 64, 16)
+            _matmul(np.swapaxes(delta, -1, -2), x, out=dw)
+            assert np.array_equal(dw, np.stack([np.dot(delta[t].T, x[t])
+                                                for t in range(n_tasks)]))
 
 
 def test_softmax_cross_entropy_uniform_and_saturated():

@@ -1,0 +1,83 @@
+"""Alternating before/after runs of the benchmark, summarized as JSON.
+
+    python3 tools/bench_pairs.py --before ../parent --workload oml_desk \
+        --pairs 5 --seconds 30 --out BENCH_5.json
+
+Run it from the root of the checkout under test (the "after" side);
+--before is the root of another checkout, usually the parent commit.  Each
+pair runs ``perfbench/run.py --trace 0`` once in each checkout with the same
+seed (the pair's index), alternating which side runs first.  The output file
+gets one entry per workload: every run's end-to-end metrics, each side's
+median and quartiles, and for each metric how many pairs the after side
+won.  Entries for other workloads already in the file are kept.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LOWER_IS_BETTER = {"setup_s", "peak_rss_mb", "ser_mean"}
+
+
+def run_once(checkout, workload, seed, seconds):
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+         str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, check=True, capture_output=True, text=True).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        raise SystemExit(f"{checkout}: {workload} seed {seed} failed: {result}")
+    return {k: v["value"] for k, v in result["metrics"].items()}
+
+
+def summary(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--before", required=True, help="root of the other checkout")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=5)
+    p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--out", required=True)
+    args = p.parse_args(argv)
+    sides = {"before": os.path.abspath(args.before), "after": ROOT}
+    runs = {"before": [], "after": []}
+    for pair in range(args.pairs):
+        order = ("before", "after") if pair % 2 == 0 else ("after", "before")
+        for side in order:
+            runs[side].append(run_once(sides[side], args.workload, pair + 1,
+                                       args.seconds))
+            print(args.workload, pair, side, runs[side][-1], flush=True)
+    metrics = {}
+    for name in runs["after"][0]:
+        before = [r[name] for r in runs["before"]]
+        after = [r[name] for r in runs["after"]]
+        sign = -1 if name in LOWER_IS_BETTER else 1
+        metrics[name] = {
+            "before": summary(before), "after": summary(after),
+            "after_wins": sum(sign * (a - b) > 0 for a, b in zip(after, before)),
+        }
+    doc = {}
+    if os.path.exists(args.out):
+        with open(args.out) as f:
+            doc = json.load(f)
+    doc[args.workload] = {
+        "command": (f"python3 tools/bench_pairs.py --before <parent checkout> "
+                    f"--workload {args.workload} --pairs {args.pairs} "
+                    f"--seconds {args.seconds:g} --out {args.out}"),
+        "pairs": args.pairs, "metrics": metrics, "runs": runs,
+    }
+    with open(args.out, "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+
+
+if __name__ == "__main__":
+    main()
