@@ -104,7 +104,8 @@ def encode(model: CaeModel, messages, theta: np.ndarray = None) -> np.ndarray:
     if msgs.size == 0:
         raise ValueError("empty message batch")
     onehot = one_hot_batch(msgs, model.n_messages, dtype=theta.dtype)
-    raw, _ = mlp_forward(model.encoder_spec, theta[..., :model.split], onehot)
+    raw, _ = mlp_forward(model.encoder_spec, theta[..., :model.split], onehot,
+                         keep_cache=False)
     x, _, _ = normalize_power(raw, model.n_ch)
     return x
 
@@ -114,7 +115,8 @@ def decode(model: CaeModel, y: np.ndarray, theta: np.ndarray = None) -> np.ndarr
     theta = model.params if theta is None else theta
     if y.shape[-1] != 2 * model.n_ch:
         raise ValueError(f"received length {y.shape[-1]} != {2 * model.n_ch}")
-    probs, _ = mlp_forward(model.decoder_spec, theta[..., model.split:], y)
+    probs, _ = mlp_forward(model.decoder_spec, theta[..., model.split:], y,
+                           keep_cache=False)
     return probs
 
 
@@ -202,16 +204,15 @@ def pipeline_loss_grads(model: CaeModel, theta: np.ndarray, onehot: np.ndarray,
         grads = grads_out
     else:
         grads = np.empty(grad_lead + (model.n_params,), dtype=probs.dtype)
-    _, g_y = mlp_backward(dec_spec, theta[..., split:], dec_cache,
-                          g_logits, out=grads[..., split:], reduce_lead=reduce)
+    _, g_y = mlp_backward(dec_spec, dec_cache, g_logits,
+                          out=grads[..., split:], reduce_lead=reduce)
     g_x = cmul_conj(h, g_y)
     if repeats > 1:
         # collapse the repeat groups; the encoder saw each row once
         g_x = g_x.reshape(g_x.shape[:-2] + (-1, repeats, d)).sum(axis=-2)
     g_raw = _normalize_backward(g_x, raw, scale, energy, repeats=repeats)
-    mlp_backward(enc_spec, theta[..., :split], enc_cache, g_raw,
-                 out=grads[..., :split], reduce_lead=reduce,
-                 want_input_grad=False)
+    mlp_backward(enc_spec, enc_cache, g_raw, out=grads[..., :split],
+                 reduce_lead=reduce, want_input_grad=False)
     return loss, grads
 
 

@@ -8,7 +8,9 @@ updates) trivial and layout-stable.
 Hidden layers are leaky-ReLU; the output layer is linear or softmax.
 Backprop starts from the gradient of the last layer's pre-activation, which
 is the output gradient of a linear head and the fused softmax+cross-entropy
-gradient of a softmax head.
+gradient of a softmax head.  mlp_forward keeps each layer's input and
+pre-activation for mlp_backward; inference (cae.encode and cae.decode)
+passes keep_cache=False and holds one layer's arrays at a time.
 
 All core routines accept arbitrary leading axes on both the parameter vector
 and the inputs, so a stack of T task-adapted parameter vectors of shape (T, P)
@@ -98,8 +100,11 @@ def init_params(spec: MlpSpec, rng: np.random.Generator,
 
 
 def leaky_relu(z: np.ndarray) -> np.ndarray:
-    # equivalent to where(z > 0, z, slope*z) since 0 < slope < 1
-    return np.maximum(z, np.asarray(z).dtype.type(LEAKY_SLOPE) * z)
+    # equivalent to where(z > 0, z, slope*z) since 0 < slope < 1; the scaled
+    # copy is the one new buffer
+    z = np.asarray(z)
+    a = np.multiply(z, z.dtype.type(LEAKY_SLOPE), out=np.empty_like(z))
+    return np.maximum(z, a, out=a)
 
 
 def _leaky_grad(z: np.ndarray, dtype) -> np.ndarray:
@@ -110,9 +115,11 @@ def _leaky_grad(z: np.ndarray, dtype) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row softmax, normalized in one new buffer; logits are left intact."""
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray = None) -> np.ndarray:
@@ -130,13 +137,17 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     return np.matmul(a, b, out=out)
 
 
-def mlp_forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray):
+def mlp_forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray,
+                keep_cache: bool = True):
     """Forward pass.
 
     x may be a single vector (d0,) or carry leading batch/task axes
     (..., B, d0).  Returns (output, cache); the cache holds the unpacked
     layers, per-layer inputs and pre-activations, and is consumed by
-    mlp_backward.
+    mlp_backward.  keep_cache=False returns (output, None) and holds only
+    the current activation: each layer's input is dropped once its product
+    is formed, so inference needs about two activations of memory, not two
+    per layer.  The output is bitwise the same either way.
     """
     single = x.ndim == 1
     a = x[None, :] if single else x
@@ -147,23 +158,23 @@ def mlp_forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray):
     layers = unpack_params(spec, theta)
     inputs = []   # activation feeding each layer
     preacts = []  # z = a @ W^T + b per layer
-    n = len(layers)
+    last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
-        inputs.append(a)
-        z = _matmul(a, w.swapaxes(-1, -2)) + b[..., None, :]
-        preacts.append(z)
-        if i < n - 1:
-            a = leaky_relu(z)
+        if keep_cache:
+            inputs.append(a)
+        a = _matmul(a, w.swapaxes(-1, -2))
+        a += b[..., None, :]
+        if keep_cache:
+            preacts.append(a)
+        if i < last:
+            a = leaky_relu(a)
         elif spec.output_activation == ACT_SOFTMAX:
-            a = softmax(z)
-        else:
-            a = z
-    cache = (layers, inputs, preacts, single)
+            a = softmax(a)
     out = a[0] if single else a
-    return out, cache
+    return out, (layers, inputs, preacts, single) if keep_cache else None
 
 
-def mlp_backward(spec: MlpSpec, theta: np.ndarray, cache, output_grad: np.ndarray,
+def mlp_backward(spec: MlpSpec, cache, output_grad: np.ndarray,
                  out: np.ndarray = None, reduce_lead: bool = False,
                  want_input_grad: bool = True):
     """Exact reverse-mode gradient through the network.

@@ -1,5 +1,7 @@
 """Unit tests for the channel autoencoder pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,24 @@ def test_evaluate_ser_seed_consistency():
     assert abs(s1 - s2) < 3 * np.sqrt(2) * sigma
     with pytest.raises(ValueError):
         evaluate_ser(model, h, nm, 0, rngmod.substream(9, "e3"))
+
+
+def test_evaluate_ser_keeps_no_backward_cache():
+    # at the paper width an evaluation holds about two (n_eval, hidden)
+    # activations at a time; a forward that kept every layer's input and
+    # pre-activation peaked at over six
+    hidden, n_eval = 256, 10000
+    model = CaeModel.build(4, 2, rngmod.substream(11, "mem"), hidden=hidden)
+    h = np.array([0.6, -0.8, 0.3, 0.1])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        evaluate_ser(model, h, NoiseModel(0.3), n_eval,
+                     rngmod.substream(11, "eval"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n_eval * hidden * model.params.itemsize
 
 
 def test_transmit_draws_and_decodes_what_evaluate_ser_scores():

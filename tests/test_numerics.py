@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from omlcae import rng as rngmod
-from omlcae.numerics import (ACT_SOFTMAX, AdamState, MlpSpec, _matmul, adam_step,
-                             adam_step_inplace, finite_diff_grad, init_params,
-                             leaky_relu, mlp_backward, mlp_forward,
-                             softmax_cross_entropy, step_lr)
+from omlcae.numerics import (ACT_LINEAR, ACT_SOFTMAX, LEAKY_SLOPE, AdamState,
+                             MlpSpec, _matmul, adam_step, adam_step_inplace,
+                             finite_diff_grad, init_params, leaky_relu,
+                             mlp_backward, mlp_forward, softmax_cross_entropy,
+                             step_lr, unpack_params)
 
 
 def test_spec_param_count_and_layout():
@@ -75,12 +76,59 @@ def test_forward_dimension_mismatch():
         mlp_forward(spec, np.zeros(spec.n_params), np.zeros(4))
 
 
+def _reference_softmax(z):
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _reference_forward(spec, theta, x):
+    # the layer math written out with a fresh array per operation
+    a = x[None, :] if x.ndim == 1 else x
+    layers = unpack_params(spec, theta)
+    for i, (w, b) in enumerate(layers):
+        z = _matmul(a, w.swapaxes(-1, -2)) + b[..., None, :]
+        if i < len(layers) - 1:
+            a = np.maximum(z, z.dtype.type(LEAKY_SLOPE) * z)
+        elif spec.output_activation == ACT_SOFTMAX:
+            a = _reference_softmax(z)
+        else:
+            a = z
+    return a[0] if x.ndim == 1 else a
+
+
+def test_cache_free_forward_bitwise_equals_cached():
+    rng = rngmod.substream(5, "nocache")
+    for dtype in (np.float64, np.float32):
+        for act in (ACT_LINEAR, ACT_SOFTMAX):
+            spec = MlpSpec((6, 32, 32, 4), output_activation=act)
+            thetas = (init_params(spec, rng, dtype=dtype),
+                      np.stack([init_params(spec, rng, dtype=dtype)
+                                for _ in range(3)]))
+            for theta in thetas:
+                for shape in ((6,), (40, 6), (3, 40, 6)):
+                    if theta.ndim == 2 and len(shape) == 1:
+                        continue
+                    x = rng.normal(size=shape).astype(dtype)
+                    cached, cache = mlp_forward(spec, theta, x)
+                    free, none = mlp_forward(spec, theta, x, keep_cache=False)
+                    assert none is None and cache is not None
+                    assert free.dtype == cached.dtype == dtype
+                    assert np.array_equal(free, cached)
+                    assert np.array_equal(cached,
+                                          _reference_forward(spec, theta, x))
+                    if act == ACT_SOFTMAX:
+                        # the softmax left the cached logits intact
+                        want = _reference_softmax(cache[2][-1])
+                        assert np.array_equal(
+                            cached, want[0] if x.ndim == 1 else want)
+
+
 def test_backward_zero_grad():
     spec = MlpSpec((3, 4, 2))
     rng = rngmod.substream(2, "bw")
     theta = init_params(spec, rng)
     _, cache = mlp_forward(spec, theta, rng.normal(size=3))
-    pg, ig = mlp_backward(spec, theta, cache, np.zeros(2))
+    pg, ig = mlp_backward(spec, cache, np.zeros(2))
     assert np.all(pg == 0.0) and np.all(ig == 0.0)
 
 
@@ -89,7 +137,7 @@ def test_backward_single_linear_layer_closed_form():
     theta = rngmod.substream(3, "lin").normal(size=spec.n_params)
     x = np.array([0.5, -1.5, 2.0])
     _, cache = mlp_forward(spec, theta, x)
-    pg, ig = mlp_backward(spec, theta, cache, np.array([1.0, 0.0]))  # loss=y0
+    pg, ig = mlp_backward(spec, cache, np.array([1.0, 0.0]))  # loss=y0
     w = theta[:6].reshape(2, 3)
     assert np.allclose(pg[:6].reshape(2, 3), np.vstack([x, np.zeros(3)]))
     assert np.allclose(pg[6:], [1.0, 0.0])
@@ -110,7 +158,7 @@ def test_backward_matches_finite_differences():
     out, cache = mlp_forward(spec, theta, x)
     logits = cache[2][-1][0]
     _, g_logits = softmax_cross_entropy(logits, label)
-    pg, _ = mlp_backward(spec, theta, cache, g_logits[None, :])
+    pg, _ = mlp_backward(spec, cache, g_logits[None, :])
     fd = finite_diff_grad(loss_fn, theta, eps=1e-5)
     mask = np.abs(pg) > 1e-8
     rel = np.max(np.abs(pg[mask] - fd[mask]) / np.abs(pg[mask]))
@@ -124,15 +172,14 @@ def test_backward_reduce_lead_matches_stacked_sum():
     x = rng.normal(size=(4, 6, 3))
     g = rng.normal(size=(4, 6, 2))
     _, cache = mlp_forward(spec, theta, x)
-    pg_full, ig_full = mlp_backward(spec, theta, cache, g)
+    pg_full, ig_full = mlp_backward(spec, cache, g)
     _, cache = mlp_forward(spec, theta, x)
-    pg_red, ig_red = mlp_backward(spec, theta, cache, g, reduce_lead=True)
+    pg_red, ig_red = mlp_backward(spec, cache, g, reduce_lead=True)
     assert np.allclose(pg_red, pg_full.sum(axis=0), atol=1e-12)
     assert np.allclose(ig_red, ig_full, atol=1e-12)
     # skipping the input gradient leaves the parameter gradient bitwise equal
     _, cache = mlp_forward(spec, theta, x)
-    pg_skip, ig_skip = mlp_backward(spec, theta, cache, g,
-                                    want_input_grad=False)
+    pg_skip, ig_skip = mlp_backward(spec, cache, g, want_input_grad=False)
     assert ig_skip is None and np.array_equal(pg_skip, pg_full)
 
 

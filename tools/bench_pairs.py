@@ -1,7 +1,7 @@
 """Alternating before/after runs of the benchmark, summarized as JSON.
 
-    python3 tools/bench_pairs.py --before ../parent --workload oml_desk \
-        --pairs 5 --seconds 30 --out BENCH_5.json
+    python3 tools/bench_pairs.py --before ../parent --workload scratch_paper \
+        --pairs 10 --seconds 30 --out BENCH_6.json
 
 Run it from the root of the checkout under test (the "after" side);
 --before is the root of another checkout, usually the parent commit.  Each
@@ -9,7 +9,9 @@ pair runs ``perfbench/run.py --trace 0`` once in each checkout with the same
 seed (the pair's index), alternating which side runs first.  The output file
 gets one entry per workload: every run's end-to-end metrics, each side's
 median and quartiles, and for each metric how many pairs the after side
-won.  Entries for other workloads already in the file are kept.
+won.  Quartiles need at least 2 pairs; the default 10 is the fewest on
+which a gain may be claimed.  Entries for other workloads already in the
+file are kept.
 """
 
 import argparse
@@ -34,6 +36,13 @@ def run_once(checkout, workload, seed, seconds):
     return {k: v["value"] for k, v in result["metrics"].items()}
 
 
+def pair_count(text):
+    pairs = int(text)
+    if pairs < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 pairs, got {pairs}")
+    return pairs
+
+
 def summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -43,7 +52,7 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--before", required=True, help="root of the other checkout")
     p.add_argument("--workload", required=True)
-    p.add_argument("--pairs", type=int, default=5)
+    p.add_argument("--pairs", type=pair_count, default=10)
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
