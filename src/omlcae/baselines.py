@@ -127,7 +127,7 @@ def run_scratch_cae(cfg: RunConfig, model: CaeModel = None):
         model = cfg.build_model()
     starts = ((i, h, task, model.init_like(cfg.cell_substream("scratch-init", i)))
               for i, h, task in task_sequence(cfg, model))
-    return [(i, ser) for i, ser, _ in fine_tune_blocks(model, cfg, starts)[0]]
+    return fine_tune_blocks(model, cfg, starts, lambda i, ser, _: (i, ser))[0]
 
 
 def run_joint_cae(cfg: RunConfig, model: CaeModel = None,
@@ -156,7 +156,7 @@ def run_joint_cae(cfg: RunConfig, model: CaeModel = None,
                                  sample_rng)
             yield i, h, task, theta  # _joint_train never writes its theta
 
-    return [(i, ser) for i, ser, _ in fine_tune_blocks(model, cfg, starts())[0]]
+    return fine_tune_blocks(model, cfg, starts(), lambda i, ser, _: (i, ser))[0]
 
 
 def run_qpsk_mle(cfg: RunConfig):

@@ -10,7 +10,7 @@ Backprop starts from the gradient of the last layer's pre-activation, which
 is the output gradient of a linear head and the fused softmax+cross-entropy
 gradient of a softmax head.  mlp_forward keeps each layer's input and
 pre-activation for mlp_backward; inference (cae.encode and cae.decode)
-passes keep_cache=False and holds one layer's arrays at a time.
+passes keep_cache=False and holds one layer's arrays of a row block at a time.
 
 All core routines accept arbitrary leading axes on both the parameter vector
 and the inputs, so a stack of T task-adapted parameter vectors of shape (T, P)
@@ -137,40 +137,55 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     return np.matmul(a, b, out=out)
 
 
+# inference (keep_cache=False) runs its rows in near-equal blocks past this
+# budget per activation, 4,096 rows at width 256 in float64.  A 16-row block
+# changed output bits (another GEMM kernel), so blocks stay over 512 rows
+INFER_BLOCK_BYTES = 8 * 2 ** 20
+
+
 def mlp_forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray,
                 keep_cache: bool = True):
     """Forward pass.
 
     x may be a single vector (d0,) or carry leading batch/task axes
-    (..., B, d0).  Returns (output, cache); the cache holds the unpacked
-    layers, per-layer inputs and pre-activations, and is consumed by
-    mlp_backward.  keep_cache=False returns (output, None) and holds only
-    the current activation: each layer's input is dropped once its product
-    is formed, so inference needs about two activations of memory, not two
-    per layer.  The output is bitwise the same either way.
+    (..., B, d0); a stacked (T, P) theta needs the latter.  Returns
+    (output, cache); the cache holds the unpacked layers, per-layer inputs
+    and pre-activations, and is consumed by mlp_backward.  keep_cache=False
+    returns (output, None) and holds only the current activation of a row
+    block: each layer's input is dropped once its product is formed, so
+    inference needs about two activations of INFER_BLOCK_BYTES (per stacked
+    slice), not two per layer.  The output is bitwise the same either way.
     """
     single = x.ndim == 1
+    if single and theta.ndim > 1:
+        raise ValueError(f"1-D input {x.shape} with stacked parameters "
+                         f"{theta.shape}: give the input a row axis")
     a = x[None, :] if single else x
     if a.shape[-1] != spec.layer_dims[0]:
         raise ValueError(
             f"input dim {a.shape[-1]} != layer_dims[0]={spec.layer_dims[0]}"
         )
     layers = unpack_params(spec, theta)
-    inputs = []   # activation feeding each layer
-    preacts = []  # z = a @ W^T + b per layer
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        if keep_cache:
-            inputs.append(a)
-        a = _matmul(a, w.swapaxes(-1, -2))
-        a += b[..., None, :]
-        if keep_cache:
-            preacts.append(a)
-        if i < last:
-            a = leaky_relu(a)
-        elif spec.output_activation == ACT_SOFTMAX:
-            a = softmax(a)
-    out = a[0] if single else a
+    inputs, preacts, blocks = [], [], []  # layer inputs, z = a @ W^T + b
+    rows, last = a.shape[-2], len(layers) - 1
+    n = 1 if keep_cache else max(1, -(-rows // max(
+        1024, INFER_BLOCK_BYTES // (max(spec.layer_dims) * a.itemsize))))
+    for j in range(n):
+        z = a if n == 1 else a[..., rows * j // n:rows * (j + 1) // n, :]
+        for i, (w, b) in enumerate(layers):
+            if keep_cache:
+                inputs.append(z)
+            z = _matmul(z, w.swapaxes(-1, -2))
+            z += b[..., None, :]
+            if keep_cache:
+                preacts.append(z)
+            if i < last:
+                z = leaky_relu(z)
+            elif spec.output_activation == ACT_SOFTMAX:
+                z = softmax(z)
+        blocks.append(z)
+    out = blocks[0] if n == 1 else np.concatenate(blocks, axis=-2)
+    out = out[0] if single else out
     return out, (layers, inputs, preacts, single) if keep_cache else None
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the QPSK+MLE, scratch-CAE, and joint-CAE baselines."""
 
+import os
+import threading
 from collections import deque
 from dataclasses import replace
 
@@ -252,6 +254,15 @@ def _per_sequence_reference(cfg, method):
     return rows
 
 
+def _cae_runners(cfg):
+    return {
+        "oml_cae": lambda: [(r.sequence, r.ser_after_adapt)
+                            for r in online_run(cfg)],
+        "cae": lambda: run_scratch_cae(cfg),
+        "joint_cae": lambda: run_joint_cae(cfg),
+    }
+
+
 def test_blocked_runners_match_per_sequence_reference(monkeypatch):
     # 11 desk-width sequences fine-tune in blocks of 8 and 3; rows and
     # fine-tuned parameters equal one fine-tune per sequence, bit for bit
@@ -269,15 +280,78 @@ def test_blocked_runners_match_per_sequence_reference(monkeypatch):
         return sequence_ser(model, cfg, i, h, theta)
 
     monkeypatch.setattr(metalearn, "sequence_ser", logged)
-    runners = {
-        "oml_cae": lambda: [(r.sequence, r.ser_after_adapt)
-                            for r in online_run(cfg)],
-        "cae": lambda: run_scratch_cae(cfg),
-        "joint_cae": lambda: run_joint_cae(cfg),
-    }
+    runners = _cae_runners(cfg)
     for method, run in runners.items():
         scored.clear()
         rows = run()
         want = _per_sequence_reference(cfg, method)
         assert rows == [(i, ser) for i, ser, _ in want], method
         assert scored == [(i, digest) for i, _, digest in want], method
+
+
+def _one_sequence_blocks(monkeypatch):
+    # one sequence per block, as at the paper width, on a small desk cell
+    monkeypatch.setattr(metalearn, "FINE_TUNE_BLOCK_BYTES", 1)
+    meta = MetaConfig(outer_iters=10, finetune_iters=4, adapt_steps=2,
+                      tasks_per_update=3, outer_rule="reptile",
+                      outer_lr=1e-3)
+    return RunConfig(k=4, n_ch=2, snr_db=5.0, shots=1, n_sequences=5,
+                     n_eval=300, seed=3, meta=meta, hidden=64, query_shots=1)
+
+
+def _allow_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
+                        raising=False)
+
+
+def test_pooled_fine_tunes_match_serial_in_sequence_order(monkeypatch):
+    # two CPUs put the fine-tunes on pool threads, one keeps them on the
+    # calling thread; rows and the scored thetas come out the same, in
+    # sequence order, and equal one fine-tune per sequence
+    scored, on_main = [], []
+
+    def logged(model, cfg, i, h, theta):
+        scored.append((i, theta_hash(theta)))
+        return sequence_ser(model, cfg, i, h, theta)
+
+    def adapt(*args, **kwargs):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return inner_adapt(*args, **kwargs)
+
+    monkeypatch.setattr(metalearn, "sequence_ser", logged)
+    monkeypatch.setattr(metalearn, "inner_adapt", adapt)
+    cfg = _one_sequence_blocks(monkeypatch)
+    for method in ("oml_cae", "cae", "joint_cae"):
+        want = _per_sequence_reference(cfg, method)
+        for cpus in ({0}, {0, 1}):
+            _allow_cpus(monkeypatch, cpus)
+            scored.clear()
+            on_main.clear()
+            rows = _cae_runners(cfg)[method]()
+            assert rows == [(i, ser) for i, ser, _ in want], (method, cpus)
+            assert scored == [(i, digest) for i, _, digest in want]
+            assert on_main == [len(cpus) == 1] * cfg.n_sequences
+
+
+@pytest.mark.parametrize("method", ["oml_cae", "cae", "joint_cae"])
+def test_pooled_fine_tune_error_propagates_and_joins_the_pool(monkeypatch,
+                                                             method):
+    cfg = _one_sequence_blocks(monkeypatch)
+    _allow_cpus(monkeypatch, {0, 1})
+    calls, lock = [], threading.Lock()
+
+    def failing(*args, **kwargs):
+        with lock:
+            calls.append(threading.current_thread())
+            fail = len(calls) == 2
+        if fail:
+            raise RuntimeError("fine-tune failed")
+        return inner_adapt(*args, **kwargs)
+
+    monkeypatch.setattr(metalearn, "inner_adapt", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="fine-tune failed"):
+        _cae_runners(cfg)[method]()
+    assert threading.main_thread() not in calls
+    assert not any(t.is_alive() for t in calls)
+    assert set(threading.enumerate()) <= before

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from omlcae import numerics
 from omlcae import rng as rngmod
 from omlcae.cae import (CaeModel, codebook, decode, encode, evaluate_ser,
                         loss_and_grads, normalize_power, one_hot_batch,
@@ -184,6 +185,54 @@ def test_evaluate_ser_keeps_no_backward_cache():
     finally:
         tracemalloc.stop()
     assert peak < 3 * n_eval * hidden * model.params.itemsize
+
+
+def test_evaluate_ser_peak_is_bounded_by_the_row_block():
+    # past INFER_BLOCK_BYTES per activation the decoder runs in row blocks,
+    # so the peak follows the block size, not n_eval; the one-call decode
+    # peaked at about 42 MB here, over this bound
+    model = CaeModel.build(4, 2, rngmod.substream(11, "mem"), hidden=256)
+    h = np.array([0.6, -0.8, 0.3, 0.1])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        evaluate_ser(model, h, NoiseModel(0.3), 10000,
+                     rngmod.substream(11, "eval"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * numerics.INFER_BLOCK_BYTES
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hidden", [16, 64, 256])
+def test_blocked_decode_bitwise_equals_one_call(monkeypatch, hidden, dtype):
+    # a budget of 1024 rows keeps every near-equal block over 512 rows
+    model = CaeModel.build(4, 2, rngmod.substream(12, "blocks"),
+                           hidden=hidden, dtype=dtype)
+    h = np.array([0.6, -0.8, 0.3, 0.1], dtype=dtype)
+    cap, one_call = 1024, 2 ** 62
+    layers = len(model.decoder_spec.layer_dims) - 1
+    calls = []
+    matmul = numerics._matmul
+    monkeypatch.setattr(numerics, "_matmul",
+                        lambda *a, **kw: calls.append(1) or matmul(*a, **kw))
+    for n_eval in (cap - 1, cap, cap + 1, 2 * cap, 2 * cap + 1, 3 * cap + 2):
+        got = []
+        for budget in (cap * hidden * np.dtype(dtype).itemsize, one_call):
+            monkeypatch.setattr(numerics, "INFER_BLOCK_BYTES", budget)
+            rng = rngmod.substream(12, "tx", n_eval)
+            sent, y, decided = transmit(model, model.params, h,
+                                        NoiseModel(0.3), n_eval, rng)
+            calls.clear()
+            probs = decode(model, y)
+            blocks = 1 if budget == one_call else -(-n_eval // cap)
+            assert len(calls) == blocks * layers
+            ser = evaluate_ser(model, h, NoiseModel(0.3), n_eval,
+                               rngmod.substream(12, "tx", n_eval))
+            got.append((sent, y, decided, probs, ser))
+        for blocked, whole in zip(*got):
+            assert np.array_equal(blocked, whole), n_eval
 
 
 def test_transmit_draws_and_decodes_what_evaluate_ser_scores():

@@ -76,6 +76,17 @@ def test_forward_dimension_mismatch():
         mlp_forward(spec, np.zeros(spec.n_params), np.zeros(4))
 
 
+@pytest.mark.parametrize("keep_cache", [True, False])
+def test_forward_rejects_single_input_with_stacked_params(keep_cache):
+    # a (d0,) input against a (T, P) stack used to return task 0's output
+    spec = MlpSpec((3, 5, 2))
+    theta = np.zeros((4, spec.n_params))
+    with pytest.raises(ValueError, match=r"\(3,\).*\(4, 32\)"):
+        mlp_forward(spec, theta, np.ones(3), keep_cache=keep_cache)
+    out, _ = mlp_forward(spec, theta, np.ones((1, 3)), keep_cache=keep_cache)
+    assert out.shape == (4, 1, 2)
+
+
 def _reference_softmax(z):
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)

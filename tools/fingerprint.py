@@ -18,8 +18,11 @@ It prints one ``name sha256`` line per output, in a fixed order:
                     scratch and joint CAE, 11 sequences
 
 Each cell keeps its profile's per-sequence meta budget.  Two runs of one
-checkout must print the same lines, and a change that keeps every output
-byte-identical prints the same lines as its parent.  BLAS runs on one thread.
+checkout must print the same lines, and so must a run pinned to one CPU
+(``taskset -c 0 python3 tools/fingerprint.py``), where the paper-width
+fine-tunes run inline instead of on a thread pool.  A change that keeps every
+output byte-identical prints the same lines as its parent.  BLAS runs on one
+thread.
 """
 
 import os
