@@ -234,9 +234,9 @@ def transmit(model: CaeModel, theta: np.ndarray, h: np.ndarray,
              noise: NoiseModel, n: int, rng: np.random.Generator):
     """Send n uniform messages through h (drawing indices, then noise) and
     decode them; returns 0-based (sent, received, decided), argmax decisions
-    with ties broken by lowest index.  Past numerics.INFER_BLOCK_BYTES per
-    activation the decoder runs in near-equal row blocks, bitwise equal to
-    one call."""
+    with ties broken by lowest index.  Past numerics.INFER_BLOCK_ROWS (1,024)
+    messages the decoder runs in near-equal row blocks, bitwise equal to one
+    call."""
     sent = rng.integers(0, model.n_messages, size=n)
     x = codebook(model, theta=theta)[sent]
     y = cmul(h, x) + awgn(rng, model.n_ch, noise.sigma2, size=n, dtype=x.dtype)

@@ -10,7 +10,8 @@ Backprop starts from the gradient of the last layer's pre-activation, which
 is the output gradient of a linear head and the fused softmax+cross-entropy
 gradient of a softmax head.  mlp_forward keeps each layer's input and
 pre-activation for mlp_backward; inference (cae.encode and cae.decode)
-passes keep_cache=False and holds one layer's arrays of a row block at a time.
+passes keep_cache=False and holds one layer's arrays of a block of at most
+INFER_BLOCK_ROWS rows at a time.
 
 All core routines accept arbitrary leading axes on both the parameter vector
 and the inputs, so a stack of T task-adapted parameter vectors of shape (T, P)
@@ -137,10 +138,10 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     return np.matmul(a, b, out=out)
 
 
-# inference (keep_cache=False) runs its rows in near-equal blocks past this
-# budget per activation, 4,096 rows at width 256 in float64.  A 16-row block
-# changed output bits (another GEMM kernel), so blocks stay over 512 rows
-INFER_BLOCK_BYTES = 8 * 2 ** 20
+# inference (keep_cache=False) splits more rows than this into near-equal
+# blocks of 512 to 1,024 rows, at every width and dtype.  A 16-row block
+# changed output bits (another GEMM kernel), so blocks stay this large
+INFER_BLOCK_ROWS = 1024
 
 
 def mlp_forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray,
@@ -151,9 +152,9 @@ def mlp_forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray,
     (..., B, d0); a stacked (T, P) theta needs the latter.  Returns
     (output, cache); the cache holds the unpacked layers, per-layer inputs
     and pre-activations, and is consumed by mlp_backward.  keep_cache=False
-    returns (output, None) and holds only the current activation of a row
-    block: each layer's input is dropped once its product is formed, so
-    inference needs about two activations of INFER_BLOCK_BYTES (per stacked
+    returns (output, None) and holds one activation of a block of at most
+    INFER_BLOCK_ROWS rows: each layer's input is dropped once its product is
+    formed, so inference needs about two block activations (per stacked
     slice), not two per layer.  The output is bitwise the same either way.
     """
     single = x.ndim == 1
@@ -168,8 +169,7 @@ def mlp_forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray,
     layers = unpack_params(spec, theta)
     inputs, preacts, blocks = [], [], []  # layer inputs, z = a @ W^T + b
     rows, last = a.shape[-2], len(layers) - 1
-    n = 1 if keep_cache else max(1, -(-rows // max(
-        1024, INFER_BLOCK_BYTES // (max(spec.layer_dims) * a.itemsize))))
+    n = 1 if keep_cache else max(1, -(-rows // INFER_BLOCK_ROWS))
     for j in range(n):
         z = a if n == 1 else a[..., rows * j // n:rows * (j + 1) // n, :]
         for i, (w, b) in enumerate(layers):

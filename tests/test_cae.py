@@ -188,9 +188,10 @@ def test_evaluate_ser_keeps_no_backward_cache():
 
 
 def test_evaluate_ser_peak_is_bounded_by_the_row_block():
-    # past INFER_BLOCK_BYTES per activation the decoder runs in row blocks,
-    # so the peak follows the block size, not n_eval; the one-call decode
-    # peaked at about 42 MB here, over this bound
+    # past INFER_BLOCK_ROWS messages the decoder runs in row blocks, so the
+    # peak follows the block size, not n_eval; the one-call decode peaked at
+    # about 42 MB here and 8 MiB blocks of 3,334 rows at about 15 MB, both
+    # over this 6 MiB bound
     model = CaeModel.build(4, 2, rngmod.substream(11, "mem"), hidden=256)
     h = np.array([0.6, -0.8, 0.3, 0.1])
     tracemalloc.start()
@@ -201,26 +202,29 @@ def test_evaluate_ser_peak_is_bounded_by_the_row_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * numerics.INFER_BLOCK_BYTES
+    assert peak < 3 * numerics.INFER_BLOCK_ROWS * 256 * model.params.itemsize
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("hidden", [16, 64, 256])
 def test_blocked_decode_bitwise_equals_one_call(monkeypatch, hidden, dtype):
-    # a budget of 1024 rows keeps every near-equal block over 512 rows
+    # blocks of at most 1,024 rows stay at 512 rows or more; 4,000 and 10,000
+    # are the desk (4 blocks) and paper (10 blocks) evaluation sizes
     model = CaeModel.build(4, 2, rngmod.substream(12, "blocks"),
                            hidden=hidden, dtype=dtype)
     h = np.array([0.6, -0.8, 0.3, 0.1], dtype=dtype)
-    cap, one_call = 1024, 2 ** 62
+    cap, one_call = numerics.INFER_BLOCK_ROWS, 2 ** 62
+    assert cap == 1024
     layers = len(model.decoder_spec.layer_dims) - 1
     calls = []
     matmul = numerics._matmul
     monkeypatch.setattr(numerics, "_matmul",
                         lambda *a, **kw: calls.append(1) or matmul(*a, **kw))
-    for n_eval in (cap - 1, cap, cap + 1, 2 * cap, 2 * cap + 1, 3 * cap + 2):
+    for n_eval in (cap - 1, cap, cap + 1, 2 * cap, 2 * cap + 1, 3 * cap + 2,
+                   4000, 10000):
         got = []
-        for budget in (cap * hidden * np.dtype(dtype).itemsize, one_call):
-            monkeypatch.setattr(numerics, "INFER_BLOCK_BYTES", budget)
+        for budget in (cap, one_call):
+            monkeypatch.setattr(numerics, "INFER_BLOCK_ROWS", budget)
             rng = rngmod.substream(12, "tx", n_eval)
             sent, y, decided = transmit(model, model.params, h,
                                         NoiseModel(0.3), n_eval, rng)

@@ -11,7 +11,8 @@ gets one entry per workload: every run's end-to-end metrics, each side's
 median and quartiles, and for each metric how many pairs the after side
 won.  Quartiles need at least 2 pairs; the default 10 is the fewest on
 which a gain may be claimed.  Entries for other workloads already in the
-file are kept.
+file are kept.  A failed run stops the script with a message naming its
+side, checkout, workload and seed, and the tail of its stderr.
 """
 
 import argparse
@@ -25,14 +26,18 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LOWER_IS_BETTER = {"setup_s", "peak_rss_mb", "ser_mean"}
 
 
-def run_once(checkout, workload, seed, seconds):
-    out = subprocess.run(
+def run_once(side, checkout, workload, seed, seconds):
+    done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, check=True, capture_output=True, text=True).stdout
-    result = json.loads(out.strip().splitlines()[-1])
+        cwd=checkout, capture_output=True, text=True)
+    where = f"{side} side ({checkout}), {workload} seed {seed}"
+    if done.returncode:
+        tail = "\n".join(done.stderr.rstrip().splitlines()[-20:])
+        raise SystemExit(f"{where}: exit {done.returncode}, stderr ends:\n{tail}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
-        raise SystemExit(f"{checkout}: {workload} seed {seed} failed: {result}")
+        raise SystemExit(f"{where} failed: {result}")
     return {k: v["value"] for k, v in result["metrics"].items()}
 
 
@@ -61,8 +66,8 @@ def main(argv=None):
     for pair in range(args.pairs):
         order = ("before", "after") if pair % 2 == 0 else ("after", "before")
         for side in order:
-            runs[side].append(run_once(sides[side], args.workload, pair + 1,
-                                       args.seconds))
+            runs[side].append(run_once(side, sides[side], args.workload,
+                                       pair + 1, args.seconds))
             print(args.workload, pair, side, runs[side][-1], flush=True)
     metrics = {}
     for name in runs["after"][0]:
