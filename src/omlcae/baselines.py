@@ -10,10 +10,10 @@ from collections import deque
 
 import numpy as np
 
-from .cae import CaeModel, pipeline_loss_grads
+from .cae import CaeModel
 from .channel import NoiseModel, awgn, cmul
 from .metalearn import (RunConfig, _chunk_schedule, channel_sequence,
-                        fine_tune_blocks, task_sequence)
+                        fine_tune_blocks, run_sgd, task_sequence)
 
 # Gray map: bit pair (b0, b1) -> unit-energy QPSK point, indexed by 2*b0+b1.
 # 00 -> (+1+j)/sqrt2, 01 -> (-1+j)/sqrt2, 10 -> (+1-j)/sqrt2, 11 -> (-1-j)/sqrt2.
@@ -89,8 +89,8 @@ def qpsk_mle_ser(h: np.ndarray, noise: NoiseModel, shots: int, k: int,
 def _joint_train(model: CaeModel, theta: np.ndarray, store, iters: int,
                  lr: float, tasks_per_batch: int,
                  rng: np.random.Generator) -> np.ndarray:
-    """SGD on mixed batches drawn across stored tasks, each row carrying its
-    own task's channel.
+    """iters run_sgd steps on mixed batches drawn across stored tasks, each
+    row carrying its own task's channel.
 
     A batch concatenates the picked tasks' support then query rows, one
     one-hot per row.  The store is stacked once per call and indexed per
@@ -108,13 +108,10 @@ def _joint_train(model: CaeModel, theta: np.ndarray, store, iters: int,
     n_pick = min(tasks_per_batch, len(store))
     onehot = np.tile(task_onehot, (n_pick, 1))
     d = noise.shape[-1]
-    for _ in range(iters):
-        idx = rng.choice(len(store), size=n_pick, replace=False)
-        _, grads = pipeline_loss_grads(model, theta, onehot,
-                                       noise[idx].reshape(-1, d),
-                                       h[idx].reshape(-1, d))
-        theta = theta - lr * grads
-    return theta
+    batches = ((onehot, noise[idx].reshape(-1, d), h[idx].reshape(-1, d), 1)
+               for idx in (rng.choice(len(store), size=n_pick, replace=False)
+                           for _ in range(iters)))
+    return run_sgd(model, theta, batches, lr)
 
 
 def run_scratch_cae(cfg: RunConfig, model: CaeModel = None):
@@ -127,7 +124,7 @@ def run_scratch_cae(cfg: RunConfig, model: CaeModel = None):
         model = cfg.build_model()
     starts = ((i, h, task, model.init_like(cfg.cell_substream("scratch-init", i)))
               for i, h, task in task_sequence(cfg, model))
-    return fine_tune_blocks(model, cfg, starts, lambda i, ser, _: (i, ser))[0]
+    return fine_tune_blocks(model, cfg, starts, lambda i, ser, _: (i, ser))
 
 
 def run_joint_cae(cfg: RunConfig, model: CaeModel = None,
@@ -156,7 +153,7 @@ def run_joint_cae(cfg: RunConfig, model: CaeModel = None,
                                  sample_rng)
             yield i, h, task, theta  # _joint_train never writes its theta
 
-    return fine_tune_blocks(model, cfg, starts(), lambda i, ser, _: (i, ser))[0]
+    return fine_tune_blocks(model, cfg, starts(), lambda i, ser, _: (i, ser))
 
 
 def run_qpsk_mle(cfg: RunConfig):

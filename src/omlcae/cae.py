@@ -165,7 +165,8 @@ def pipeline_loss_grads(model: CaeModel, theta: np.ndarray, onehot: np.ndarray,
     skips the loss value (returned as None) on gradient-only hot paths.
     mean_grads=True returns the gradient averaged over the leading (stacked
     task) axes as one flat vector, summed inside the layer matrix products.
-    grads_out supplies a preallocated gradient buffer for hot loops.
+    grads_out supplies a preallocated gradient buffer for hot loops; one of
+    the wrong shape raises in mlp_backward.
     """
     split = model.split
     enc_spec, dec_spec = model.encoder_spec, model.decoder_spec
@@ -200,10 +201,8 @@ def pipeline_loss_grads(model: CaeModel, theta: np.ndarray, onehot: np.ndarray,
     denom = batch * int(np.prod(lead)) if reduce else batch
     g_logits /= labels.dtype.type(denom)
     grad_lead = () if reduce else lead
-    if grads_out is not None and grads_out.shape == grad_lead + (model.n_params,):
-        grads = grads_out
-    else:
-        grads = np.empty(grad_lead + (model.n_params,), dtype=probs.dtype)
+    grads = (np.empty(grad_lead + (model.n_params,), dtype=probs.dtype)
+             if grads_out is None else grads_out)
     _, g_y = mlp_backward(dec_spec, dec_cache, g_logits,
                           out=grads[..., split:], reduce_lead=reduce)
     g_x = cmul_conj(h, g_y)

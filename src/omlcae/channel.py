@@ -21,8 +21,8 @@ class NoiseModel:
     sigma2: float
 
     def __post_init__(self):
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be >= 0")
+        if not 0 <= self.sigma2 < np.inf:  # NaN fails too
+            raise ValueError(f"sigma2 must be finite and >= 0: {self.sigma2}")
 
 
 def snr_to_sigma2(snr_db: float) -> float:

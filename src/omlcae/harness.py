@@ -23,7 +23,7 @@ import numpy as np
 
 from .baselines import run_joint_cae, run_qpsk_mle, run_scratch_cae
 from .cae import CaeModel, codebook, transmit
-from .channel import NoiseModel
+from .channel import NoiseModel, snr_to_sigma2
 from .metalearn import MetaConfig, RunConfig, online_run
 
 METHODS = ("oml_cae", "cae", "joint_cae", "qpsk_mle")
@@ -89,11 +89,17 @@ class ExperimentConfig:
         if "qpsk_mle" in self.methods and self.k != 2 * self.n_ch:
             raise ValueError(
                 f"qpsk_mle requires k = 2*n_ch, got k={self.k}, n_ch={self.n_ch}")
+        for name in ("snr_db", "shots", "methods"):
+            entries = getattr(self, name)
+            if not entries or len(set(entries)) < len(entries):
+                raise ValueError(f"{name} is empty or has repeats: {entries!r}")
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
         if any(s < 1 for s in self.shots):
             raise ValueError("shots entries must be >= 1")
+        for snr in self.snr_db:  # +inf dB is the noiseless channel
+            NoiseModel(snr_to_sigma2(snr))
         if self.profile not in PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}")
         if self.dtype not in _DTYPES:
@@ -142,7 +148,7 @@ def _run_cell(cfg: ExperimentConfig, method: str, snr_db: float, shots: int):
     rc = cfg.run_config(snr_db, shots)
     try:
         if method == "oml_cae":
-            return [(r.sequence, r.ser_after_adapt) for r in online_run(rc)]
+            return online_run(rc, row=lambda i, ser, _: (i, ser))
         if method == "cae":
             return run_scratch_cae(rc)
         if method == "joint_cae":

@@ -2,11 +2,11 @@
 protocol.
 
 One task = one channel realization's pilot data (balanced support and query
-sets).  Every fixed-batch SGD loop -- the deployment fine-tune, the scratch
-and joint CAE fine-tunes, the support adaptation inside the meta step --
-runs through run_sgd.  Meta-training adapts each sampled task on its support
-set, then updates the meta-initialization theta with Adam on one of two
-first-order meta-gradients, chosen by MetaConfig.outer_rule:
+sets).  Every SGD loop -- the deployment fine-tune, the scratch and joint CAE
+fine-tunes, the meta step's support adaptation, and the joint CAE's training
+on mixed batches -- runs through run_sgd.  Meta-training adapts each sampled
+task on its support set, then updates the meta-initialization theta with Adam
+on one of two first-order meta-gradients, chosen by MetaConfig.outer_rule:
 
     "fomaml"   first-order MAML: the query-set gradient at the task-adapted
                parameters phi_T, second-order terms dropped
@@ -35,7 +35,7 @@ from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -92,8 +92,10 @@ class MetaConfig:
     def validate(self):
         for name in ("inner_lr", "outer_lr", "adapt_steps", "outer_iters",
                      "finetune_iters"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"MetaConfig.{name} must be non-negative")
+            if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
+                raise ValueError(f"MetaConfig.{name} must be finite, >= 0")
+        if not 0 < self.lr_gamma <= 1:
+            raise ValueError("MetaConfig.lr_gamma must be in (0, 1]")
         for name in ("tasks_per_update", "lr_step_size", "buffer_capacity"):
             if getattr(self, name) < 1:
                 raise ValueError(f"MetaConfig.{name} must be >= 1")
@@ -131,22 +133,22 @@ def _stack_tasks(model: CaeModel, tasks, which: str, dtype):
                        np.stack([t.h for t in tasks]), dtype)
 
 
-def run_sgd(model: CaeModel, theta: np.ndarray, batch, steps: int, lr: float,
+def run_sgd(model: CaeModel, theta: np.ndarray, batches, lr: float,
             buffers: dict = None) -> np.ndarray:
-    """steps full-batch SGD steps of the pipeline loss from theta.
+    """SGD on the pipeline loss from theta, one step per batch of batches.
 
-    batch is a pilot_batch tuple for one task or a stack of T tasks; theta is
-    (P,), adapted as one copy per stacked task, or (T, P).  Gradients go into
-    two rotating arrays, buffers[0] and buffers[1], so a step never writes
-    into the parameters it differentiates and theta is never written.
-    lr == 0 returns theta itself, as the steps would for finite gradients.
+    A batch is a pilot_batch-style tuple (onehot, noise, h, repeats) for one
+    task or a stack of T tasks; theta is (P,), adapted as one copy per
+    stacked task, or (T, P).  Gradients go into two rotating arrays of one
+    shape, buffers[0] and buffers[1], so a step never writes into the
+    parameters it differentiates and theta is never written.  lr == 0
+    returns theta itself, as the steps would for finite gradients.
     """
     if lr == 0:
         return theta
-    onehot, noise, h, repeats = batch
     buffers = {} if buffers is None else buffers
     neg_lr = theta.dtype.type(-lr)
-    for step in range(steps):
+    for step, (onehot, noise, h, repeats) in enumerate(batches):
         _, grads = pipeline_loss_grads(model, theta, onehot, noise, h,
                                        want_loss=False, repeats=repeats,
                                        grads_out=buffers.get(step % 2))
@@ -165,7 +167,7 @@ def inner_adapt(model: CaeModel, theta: np.ndarray, task, steps: int,
     batch = (_stack_tasks(model, task, "support", theta.dtype)
              if isinstance(task, list) else
              pilot_batch(model, task.support, task.h, theta.dtype))
-    return run_sgd(model, theta.copy(), batch, steps, alpha)
+    return run_sgd(model, theta.copy(), repeat(batch, steps), alpha)
 
 
 def _outer_step_stacked(model: CaeModel, theta: np.ndarray, support,
@@ -181,7 +183,7 @@ def _outer_step_stacked(model: CaeModel, theta: np.ndarray, support,
     buffers is a dict of reusable arrays (hot-loop allocation reuse;
     contents are overwritten).
     """
-    adapted = run_sgd(model, theta, support, config.adapt_steps,
+    adapted = run_sgd(model, theta, repeat(support, config.adapt_steps),
                       config.inner_lr, buffers)
     if config.outer_rule == "reptile":
         # theta - mean_T phi_T; adapted is theta itself when nothing adapted
@@ -332,19 +334,18 @@ FINE_TUNE_BLOCK_BYTES = 2 ** 20
 
 def fine_tune_blocks(model: CaeModel, cfg: RunConfig, starts, row):
     """Fine-tune and score each (i, h, task, start theta) of the iterator
-    starts; returns [row(i, ser, fine-tuned theta)] in order and the last
-    block's fine-tuned (T, P) stack.  A fine-tune feeds only its own score,
-    so runs of sequences fine-tune as one inner_adapt call on their stacked
-    start thetas, scored before the next block is pulled.  One-sequence
-    blocks (the paper width, BLAS-bound steps that release the GIL) run on a
-    thread per CPU, at most that many in flight, while this thread pulls
-    starts and scores them in order."""
+    starts; returns [row(i, ser, fine-tuned theta)] in order.  A fine-tune
+    feeds only its own score, so runs of sequences fine-tune as one
+    inner_adapt call on their stacked start thetas, scored before the next
+    block is pulled.  One-sequence blocks (the paper width, BLAS-bound steps
+    that release the GIL) run on a thread per CPU, at most that many in
+    flight, while this thread pulls starts and scores them in order."""
     width = max(1, FINE_TUNE_BLOCK_BYTES // model.params.nbytes)
     cpus = getattr(os, "sched_getaffinity", None)  # else all of os.cpu_count()
     workers = 1 if width > 1 else len(cpus(0)) if cpus else os.cpu_count() or 1
     if workers > 1:  # imported only here, as it costs 5 ms and 0.6 MB
         from concurrent.futures import ThreadPoolExecutor
-    rows, tuned, in_flight = [], None, deque()
+    rows, in_flight = [], deque()
     fine_tune = partial(inner_adapt, model, steps=cfg.meta.finetune_iters,
                         alpha=cfg.meta.inner_lr)
 
@@ -353,20 +354,20 @@ def fine_tune_blocks(model: CaeModel, cfg: RunConfig, starts, row):
         tuned = tuned if workers == 1 else tuned.result()
         rows.extend(row(i, sequence_ser(model, cfg, i, h, theta), theta)
                     for (i, h), theta in zip(seqs, tuned))
-        return tuned
 
     with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         while block := list(islice(starts, width)):
             seqs, tasks = [b[:2] for b in block], [b[2] for b in block]
             start = np.stack([b[3] for b in block])
-            del block, tuned  # while fine-tuning, only the stack holds the starts
+            del block  # while fine-tuning, only the stack holds the starts
             in_flight.append((seqs, pool.submit(fine_tune, start, tasks)
                               if pool else fine_tune(start, tasks)))
             del start  # and while scoring, only this block's results are alive
-            tuned = score() if len(in_flight) == workers else None
+            if len(in_flight) == workers:
+                score()
         while in_flight:
-            tuned = score()
-    return rows, tuned
+            score()
+    return rows
 
 
 @dataclass
@@ -386,18 +387,16 @@ def _chunk_schedule(outer_iters: int, n_sequences: int):
 
 
 def online_run(cfg: RunConfig, model: CaeModel = None,
-               return_final_theta: bool = False):
-    """Run the full online meta-learning protocol; returns per-sequence results.
+               row=lambda i, ser, th: SequenceResult(i, ser, theta_hash(th))):
+    """Run the full online meta-learning protocol; returns
+    [row(i, ser, fine-tuned theta)] per sequence, SequenceResults by default.
 
     config.meta.outer_iters is the total meta-training budget for the whole
     run: it is split uniformly over the sequences, and the Adam state plus the
     step-decay schedule carry across sequences, so the updates interleaved
     with the sequence loop form one continuous meta-training run over the
     evolving buffer.  Sequence i fine-tunes (in fine_tune_blocks) from the
-    initialization meta-trained through sequence i - 1.
-
-    With return_final_theta=True also returns the last sequence's fine-tuned
-    parameter vector (for constellation export)."""
+    initialization meta-trained through sequence i - 1."""
     if model is None:
         model = cfg.build_model()
     chunks = _chunk_schedule(cfg.meta.outer_iters, cfg.n_sequences)
@@ -415,7 +414,4 @@ def online_run(cfg: RunConfig, model: CaeModel = None,
                 theta = meta_train(model, theta, buffer, per_call, sample_rng,
                                    iter_offset=sum(chunks[:i - 1]), adam=adam)
 
-    results, last_block = fine_tune_blocks(
-        model, cfg, starts(),
-        lambda i, ser, theta: SequenceResult(i, ser, theta_hash(theta)))
-    return (results, last_block[-1]) if return_final_theta else results
+    return fine_tune_blocks(model, cfg, starts(), row)

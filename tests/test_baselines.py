@@ -13,7 +13,7 @@ from omlcae import rng as rngmod
 from omlcae.baselines import (QPSK_POINTS, _joint_train, mle_channel_estimate,
                               qpsk_mle_ser, run_joint_cae, run_qpsk_mle,
                               run_scratch_cae)
-from omlcae.cae import CaeModel, evaluate_ser
+from omlcae.cae import CaeModel, evaluate_ser, pipeline_loss_grads
 from omlcae.channel import NoiseModel, awgn, cmul, rayleigh_sample
 from omlcae.metalearn import (FINE_TUNE_BLOCK_BYTES, MetaConfig, RunConfig,
                               TaskBuffer, _chunk_schedule, inner_adapt,
@@ -159,6 +159,53 @@ def test_joint_baseline_carries_state_and_improves_over_random():
                                  rngmod.substream(8, "je", i), theta=theta_ft))
     assert not np.array_equal(theta, model.params)
     assert sers[-1] < 0.75
+
+
+def _joint_train_reference(model, theta, store, iters, lr, tasks_per_batch,
+                           rng):
+    """The joint CAE's own SGD loop before it ran through run_sgd: the loss
+    computed, each step a new theta - lr * grads."""
+    dtype = theta.dtype
+    eye = np.eye(model.n_messages, dtype=dtype)
+    task_onehot = np.concatenate([
+        np.repeat(eye, len(pilots) // len(eye), axis=0)
+        for pilots in (store[0].support, store[0].query)])
+    noise = np.stack([np.concatenate([t.support, t.query])
+                      for t in store]).astype(dtype, copy=False)
+    h = np.stack([np.broadcast_to(t.h, noise.shape[1:])
+                  for t in store]).astype(dtype, copy=False)
+    n_pick = min(tasks_per_batch, len(store))
+    onehot = np.tile(task_onehot, (n_pick, 1))
+    d = noise.shape[-1]
+    for _ in range(iters):
+        idx = rng.choice(len(store), size=n_pick, replace=False)
+        _, grads = pipeline_loss_grads(model, theta, onehot,
+                                       noise[idx].reshape(-1, d),
+                                       h[idx].reshape(-1, d))
+        theta = theta - lr * grads
+    return theta
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_joint_train_bitwise_matches_its_former_sgd_loop(dtype):
+    # _joint_train steps through run_sgd; the old per-step update gave the
+    # same bits, with stores smaller than, equal to and past tasks_per_batch
+    model = CaeModel.build(2, 1, rngmod.substream(4, "jr"), hidden=8,
+                           dtype=dtype)
+    rng = rngmod.substream(4, "jr-tasks")
+    tasks = [make_pilot_task(model, rayleigh_sample(rng, 1, dtype=dtype), 0.1,
+                             2, rng, query_shots=1) for _ in range(7)]
+    theta = model.params
+    for n_store in (2, 5, 7):
+        store = deque(tasks[:n_store])
+        got = _joint_train(model, theta, store, 20, 0.05, 5,
+                           rngmod.substream(4, "js", n_store))
+        want = _joint_train_reference(model, theta, store, 20, 0.05, 5,
+                                      rngmod.substream(4, "js", n_store))
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, theta)
+    assert np.array_equal(theta, model.params)  # the input is never written
 
 
 def test_run_joint_cae_store_capacity():

@@ -3,8 +3,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from omlcae import cli
 from omlcae.cli import main
 
 
@@ -94,6 +96,23 @@ def test_channel_stats_command(capsys):
     assert main(["channel-stats", "--rho", "0.5", "--steps", "2000"]) == 0
     out = capsys.readouterr().out
     assert "lag-1 correlation" in out and "E|h|^2" in out
+
+
+def test_gradcheck_passes_at_defaults_and_fails_on_a_wrong_entry(
+        monkeypatch, capsys):
+    assert main(["gradcheck"]) == 0
+    assert "gradcheck PASS" in capsys.readouterr().out
+    loss_and_grads = cli.loss_and_grads
+
+    def shifted(*args, **kwargs):
+        # one entry off by 1e-3 of the largest: normwise error 1e-3 > 1e-4
+        loss, grads = loss_and_grads(*args, **kwargs)
+        grads[len(grads) // 2] += 1e-3 * np.max(np.abs(grads))
+        return loss, grads
+
+    monkeypatch.setattr(cli, "loss_and_grads", shifted)
+    assert main(["gradcheck"]) == 1
+    assert "gradcheck FAIL" in capsys.readouterr().out
 
 
 def test_unknown_command_rejected():

@@ -51,7 +51,23 @@ def test_config_validation():
         tiny_cfg("/tmp", meta=MetaConfig(tasks_per_update=0)).validate()
     with pytest.raises(ValueError, match="joint_store_capacity"):
         tiny_cfg("/tmp", joint_store_capacity=0).validate()
+    for name, bad in (("snr_db", ()), ("snr_db", (5.0, 5.0)),
+                      ("shots", ()), ("shots", (1, 1)), ("methods", ()),
+                      ("methods", ("cae", "qpsk_mle", "cae"))):
+        with pytest.raises(ValueError, match=name):
+            tiny_cfg("/tmp", **{name: bad}).validate()
+    # NaN dB has no noise variance, -inf dB an infinite one
+    for bad in (float("nan"), float("-inf")):
+        with pytest.raises(ValueError, match="sigma2"):
+            tiny_cfg("/tmp", snr_db=(5.0, bad)).validate()
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma2"):
+            NoiseModel(bad)
+    with pytest.raises(ValueError, match="lr_gamma"):
+        tiny_cfg("/tmp", meta=MetaConfig(lr_gamma=float("nan"))).validate()
     tiny_cfg("/tmp", query_shots=1, warmup=0).validate()
+    # +inf dB is the noiseless channel (criterion 6)
+    tiny_cfg("/tmp", snr_db=(5.0, float("inf"))).validate()
 
 
 def test_apply_profile_fills_fields():

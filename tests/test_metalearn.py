@@ -1,6 +1,7 @@
 """Unit tests for MAML loops, the task buffer, and the online protocol."""
 
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -106,7 +107,8 @@ def test_stacked_fine_tune_matches_separate_inner_adapt_bitwise(hidden, shots):
             assert np.array_equal(got, np.stack(want))
         # the meta step's support pass, from one shared theta, also matches
         batch = _stack_tasks(model, tasks[:3], "support", dtype)
-        got = run_sgd(model, np.tile(model.params, (3, 1)), batch, 4, 0.05)
+        got = run_sgd(model, np.tile(model.params, (3, 1)), repeat(batch, 4),
+                      0.05)
         want = [inner_adapt(model, model.params, t, 4, 0.05)
                 for t in tasks[:3]]
         assert np.array_equal(got, np.stack(want))
@@ -272,6 +274,14 @@ def test_meta_train_improves_adapted_query_loss():
 def test_metaconfig_validation():
     with pytest.raises(ValueError):
         MetaConfig(inner_lr=-0.1).validate()
+    for name in ("inner_lr", "outer_lr"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=name):
+                MetaConfig(**{name: bad}).validate()
+    for bad in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="lr_gamma"):
+            MetaConfig(lr_gamma=bad).validate()
+    MetaConfig(inner_lr=0.0, lr_gamma=1.0).validate()
     for name in ("tasks_per_update", "lr_step_size", "buffer_capacity"):
         with pytest.raises(ValueError, match=name):
             MetaConfig(**{name: 0}).validate()
