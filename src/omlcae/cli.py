@@ -46,7 +46,10 @@ def _add_run_parser(sub):
 def _cmd_run(args):
     overrides = {k: v for k, v in vars(args).items()
                  if k not in ("command", "config")}
-    cfg = parse_config(args.config, overrides)
+    try:
+        cfg = parse_config(args.config, overrides)
+    except ValueError as e:  # an invalid key or value, named in the message
+        raise SystemExit(f"omlcae run: {e}") from None
     records = run_experiment(cfg)
     print(f"wrote {len(records)} rows to {os.path.join(cfg.out_dir, 'metrics.csv')}")
     for method, snr, shots, mean_ser, n, _ in summarize(records, cfg.warmup):

@@ -99,7 +99,11 @@ class ExperimentConfig:
         if any(s < 1 for s in self.shots):
             raise ValueError("shots entries must be >= 1")
         for snr in self.snr_db:  # +inf dB is the noiseless channel
-            NoiseModel(snr_to_sigma2(snr))
+            try:  # below about -3083 dB, 10 ** (-snr / 10) overflows
+                NoiseModel(snr_to_sigma2(snr))
+            except (OverflowError, ValueError):
+                raise ValueError(f"snr_db entry {snr!r} has no finite noise "
+                                 f"variance sigma2 >= 0") from None
         if self.profile not in PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}")
         if self.dtype not in _DTYPES:

@@ -17,16 +17,19 @@ The online loop, per sequence i:
 
     1. draw channel h_i from the AR(1) fading process
     2. transmit pilots -> task (support + query noise realizations)
-    3. fine-tune the current meta-initialization on the support set
-    4. measure SER of the fine-tuned model under h_i; non-finite ones raise
-    5. push the task into the FIFO buffer
-    6. meta-train on buffered tasks to produce the next initialization
+    3. for i >= 2, meta-train on the buffered tasks 1..i-1, spending sequence
+       i-1's slice of the run's outer-iteration budget, to produce the
+       initialization for sequence i
+    4. fine-tune the current meta-initialization on the support set
+    5. measure SER of the fine-tuned model under h_i; non-finite ones raise
+    6. push the task into the FIFO buffer
 
-The buffer push precedes meta-training, so meta-training runs from the very
-first sequence (on a one-task buffer).  Step 6 spends that sequence's slice
-of the run's total outer-iteration budget; optimizer state and the learning
-rate schedule continue across sequences.  Steps 3-4 feed nothing back, so
-they run in fine_tune_blocks, concurrently with steps 5-6 at the paper width.
+So the first meta-training runs on a one-task buffer, and the last
+sequence's slice, which would only produce an initialization no sequence
+fine-tunes from, is never run.  Optimizer state and the learning rate
+schedule continue across sequences.  Steps 4-5 feed nothing back, so they
+run in fine_tune_blocks, concurrently with the next sequence's steps 1-3 at
+the paper width.
 """
 
 import hashlib
@@ -396,7 +399,9 @@ def online_run(cfg: RunConfig, model: CaeModel = None,
     step-decay schedule carry across sequences, so the updates interleaved
     with the sequence loop form one continuous meta-training run over the
     evolving buffer.  Sequence i fine-tunes (in fine_tune_blocks) from the
-    initialization meta-trained through sequence i - 1."""
+    initialization meta-trained through sequence i - 1, whose chunk runs when
+    sequence i's start is pulled; the last sequence's chunk reaches no row
+    and never runs."""
     if model is None:
         model = cfg.build_model()
     chunks = _chunk_schedule(cfg.meta.outer_iters, cfg.n_sequences)
@@ -407,11 +412,13 @@ def online_run(cfg: RunConfig, model: CaeModel = None,
         sample_rng = cfg.cell_substream("task-sampling")
         adam = AdamState.fresh(theta.shape[-1], dtype=theta.dtype)
         for i, h, task in task_sequence(cfg, model):
+            # chunk i - 1 runs only once sequence i asks for its start, so
+            # the pull past the last sequence meta-trains nothing
+            if i > 1 and chunks[i - 2] > 0:
+                per_call = replace(cfg.meta, outer_iters=chunks[i - 2])
+                theta = meta_train(model, theta, buffer, per_call, sample_rng,
+                                   iter_offset=sum(chunks[:i - 2]), adam=adam)
             yield i, h, task, theta  # meta_train never writes its theta
             buffer.append(task)
-            if chunks[i - 1] > 0:
-                per_call = replace(cfg.meta, outer_iters=chunks[i - 1])
-                theta = meta_train(model, theta, buffer, per_call, sample_rng,
-                                   iter_offset=sum(chunks[:i - 1]), adam=adam)
 
     return fine_tune_blocks(model, cfg, starts(), row)

@@ -220,9 +220,11 @@ def test_run_joint_cae_store_capacity():
     assert repr(run_joint_cae(cfg, store_capacity=1)) != unbounded
 
 
-def test_joint_and_oml_spend_the_same_meta_budget(monkeypatch):
-    # over one run, the joint CAE's SGD iterations and OML-CAE's meta
-    # iterations each sum to outer_iters, split over the sequences alike
+def test_joint_spends_the_meta_budget_and_oml_the_chunks_that_reach_a_row(
+        monkeypatch):
+    # over one run, the joint CAE's SGD iterations sum to outer_iters, split
+    # over the sequences as OML-CAE's meta chunks are; OML-CAE runs only the
+    # chunks a sequence fine-tunes from, so not the one after the last
     meta = MetaConfig(outer_iters=7, finetune_iters=2)
     cfg = RunConfig(k=2, n_ch=1, snr_db=5.0, shots=1, n_sequences=3,
                     n_eval=50, seed=0, meta=meta, hidden=8)
@@ -241,8 +243,9 @@ def test_joint_and_oml_spend_the_same_meta_budget(monkeypatch):
     monkeypatch.setattr(metalearn, "meta_train", counted_meta_train)
     run_joint_cae(cfg)
     online_run(cfg)
-    assert sum(joint) == sum(oml) == meta.outer_iters
-    assert joint == oml == [3, 2, 2]
+    assert sum(joint) == meta.outer_iters
+    assert joint == [3, 2, 2]
+    assert oml == [3, 2]
 
 
 def test_run_qpsk_requires_matching_dims():
@@ -299,6 +302,29 @@ def _per_sequence_reference(cfg, method):
                                iter_offset=done, adam=adam)
             done += chunks[i - 1]
     return rows
+
+
+@pytest.mark.parametrize("outer_iters,n_sequences,called", [
+    (7, 3, [3, 2]), (1, 3, [1]), (7, 1, [])])
+def test_online_run_meta_trains_only_the_chunks_that_reach_a_row(
+        monkeypatch, outer_iters, n_sequences, called):
+    # the reference meta-trains after every sequence, the last one included;
+    # online_run skips that chunk, which no row reads, and keeps every row
+    meta = MetaConfig(outer_iters=outer_iters, finetune_iters=2)
+    cfg = RunConfig(k=2, n_ch=1, snr_db=5.0, shots=1,
+                    n_sequences=n_sequences, n_eval=50, seed=1, meta=meta,
+                    hidden=8)
+    want = _per_sequence_reference(cfg, "oml_cae")
+    chunks = []
+
+    def counted_meta_train(model, theta, buffer, config, *args, **kwargs):
+        chunks.append(config.outer_iters)
+        return meta_train(model, theta, buffer, config, *args, **kwargs)
+
+    monkeypatch.setattr(metalearn, "meta_train", counted_meta_train)
+    rows = online_run(cfg, row=lambda i, ser, th: (i, ser, theta_hash(th)))
+    assert rows == want
+    assert chunks == called
 
 
 def _cae_runners(cfg):

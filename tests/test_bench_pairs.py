@@ -1,6 +1,8 @@
 """tools/bench_pairs.py rejects pair counts its quartiles cannot summarize,
-and names the run that failed."""
+names the run that failed, and records which commits it compared."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -38,3 +40,41 @@ def test_failed_run_names_side_checkout_workload_and_seed(tmp_path):
     assert "perfbench/run.py" in done.stderr  # the tail of the run's stderr
     assert "Traceback" not in done.stderr
     assert not out.exists()
+
+
+def test_output_names_each_sides_commit_and_dirty_flag(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    repo, plain = tmp_path / "repo", tmp_path / "plain"
+    repo.mkdir()
+    plain.mkdir()
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@example.org",
+             *args], cwd=repo, check=True, capture_output=True,
+            text=True).stdout.strip()
+
+    git("init", "-q")
+    (repo / "a.txt").write_text("a\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "a")
+    head = git("rev-parse", "HEAD")
+    (repo / "untracked.txt").write_text("not part of the commit\n")
+    assert bench_pairs.git_state(str(plain)) is None
+    assert bench_pairs.git_state(str(repo)) == {"head": head, "dirty": False}
+    (repo / "a.txt").write_text("b\n")
+    assert bench_pairs.git_state(str(repo)) == {"head": head, "dirty": True}
+
+    # the after side is the tool's own checkout; runs are stubbed out
+    monkeypatch.setattr(bench_pairs, "ROOT", str(repo))
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda side, *args: {"seq_per_s": 1.0})
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--before", str(plain), "--workload", "oml_desk",
+                      "--pairs", "2", "--out", str(out)])
+    entry = json.loads(out.read_text())["oml_desk"]
+    assert entry["git"] == {"before": None,
+                            "after": {"head": head, "dirty": True}}

@@ -25,6 +25,15 @@ def test_run_tiny_grid_and_determinism(tmp_path, capsys):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_run_rejects_an_invalid_config_without_a_traceback(tmp_path):
+    # 10 ** 400 overflows a float: the message names the entry, and no
+    # output directory is made
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match="omlcae run: snr_db entry -4000.0 "):
+        main(["run", "--snr-db=-4000", "--out", str(out)])
+    assert not out.exists()
+
+
 def test_efficiency_command(tmp_path, capsys):
     oml = tmp_path / "oml.csv"
     cae = tmp_path / "cae.csv"

@@ -11,8 +11,10 @@ gets one entry per workload: every run's end-to-end metrics, each side's
 median and quartiles, and for each metric how many pairs the after side
 won.  Quartiles need at least 2 pairs; the default 10 is the fewest on
 which a gain may be claimed.  Entries for other workloads already in the
-file are kept.  A failed run stops the script with a message naming its
-side, checkout, workload and seed, and the tail of its stderr.
+file are kept.  Each entry also records what each side ran: its checkout's
+``git rev-parse HEAD`` and whether tracked files differ from it, or null
+outside git.  A failed run stops the script with a message naming its side,
+checkout, workload and seed, and the tail of its stderr.
 """
 
 import argparse
@@ -41,6 +43,22 @@ def run_once(side, checkout, workload, seed, seconds):
     return {k: v["value"] for k, v in result["metrics"].items()}
 
 
+def git_state(checkout):
+    """{"head": commit, "dirty": tracked files changed} of the git checkout
+    at checkout, or None when it is not in one (or git is missing)."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout,
+                              capture_output=True, text=True)
+    try:
+        head = git("rev-parse", "HEAD")
+    except FileNotFoundError:
+        return None
+    if head.returncode:
+        return None
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {"head": head.stdout.strip(), "dirty": bool(status.stdout.strip())}
+
+
 def pair_count(text):
     pairs = int(text)
     if pairs < 2:
@@ -63,6 +81,7 @@ def main(argv=None):
     args = p.parse_args(argv)
     sides = {"before": os.path.abspath(args.before), "after": ROOT}
     runs = {"before": [], "after": []}
+    git = {side: git_state(checkout) for side, checkout in sides.items()}
     for pair in range(args.pairs):
         order = ("before", "after") if pair % 2 == 0 else ("after", "before")
         for side in order:
@@ -86,7 +105,7 @@ def main(argv=None):
         "command": (f"python3 tools/bench_pairs.py --before <parent checkout> "
                     f"--workload {args.workload} --pairs {args.pairs} "
                     f"--seconds {args.seconds:g} --out {args.out}"),
-        "pairs": args.pairs, "metrics": metrics, "runs": runs,
+        "pairs": args.pairs, "git": git, "metrics": metrics, "runs": runs,
     }
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1)
