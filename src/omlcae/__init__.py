@@ -8,7 +8,6 @@ from .metalearn import (MetaConfig, RunConfig, Task, TaskBuffer, buffer_push,
                         inner_adapt, make_pilot_task, meta_train, online_run,
                         outer_meta_step)
 from .numerics import (AdamState, MlpSpec, adam_step, finite_diff_grad,
-                       init_params, mlp_backward, mlp_forward,
-                       softmax_cross_entropy, step_lr)
+                       init_params, mlp_backward, mlp_forward, step_lr)
 
 __version__ = "0.1.0"

@@ -21,8 +21,7 @@ from .harness import (_EXPERIMENT_KEYS, PROFILES, ExperimentConfig,
                       efficiency_analysis, export_constellation,
                       mean_efficiency_ratio, parse_config, read_metrics_csv,
                       run_experiment, summarize)
-from .metalearn import (MetaConfig, RunConfig, inner_adapt, make_pilot_task,
-                        online_run, task_sequence)
+from .metalearn import inner_adapt, make_pilot_task, online_run, task_sequence
 from .numerics import finite_diff_grad
 
 
@@ -43,13 +42,17 @@ def _add_run_parser(sub):
     p.add_argument("--out", dest="out_dir")
 
 
-def _cmd_run(args):
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config")}
+def _parse_config(command, path, overrides):
     try:
-        cfg = parse_config(args.config, overrides)
+        return parse_config(path, overrides)
     except ValueError as e:  # an invalid key or value, named in the message
-        raise SystemExit(f"omlcae run: {e}") from None
+        raise SystemExit(f"omlcae {command}: {e}") from None
+
+
+def _cmd_run(args):
+    cfg = _parse_config("run", args.config,
+                        {k: v for k, v in vars(args).items()
+                         if k not in ("command", "config")})
     records = run_experiment(cfg)
     print(f"wrote {len(records)} rows to {os.path.join(cfg.out_dir, 'metrics.csv')}")
     for method, snr, shots, mean_ser, n, _ in summarize(records, cfg.warmup):
@@ -86,10 +89,13 @@ def _cmd_constellation(args):
     if args.method == "oml_cae" and args.sequences < 2:
         raise SystemExit("omlcae constellation: --method oml_cae needs --sequences"
                          " >= 2; sequence 1 fine-tunes the untrained init, as cae does")
-    meta = MetaConfig(finetune_iters=args.iters, outer_iters=args.meta_iters)
-    cfg = RunConfig(k=args.bits, n_ch=args.channel_uses, snr_db=args.snr_db,
-                    shots=args.shots, n_sequences=args.sequences,
-                    seed=args.seed, meta=meta, n_eval=args.n_show)
+    # the paper profile with the flags applied, validated as run's cells are
+    exp = _parse_config("constellation", None, dict(
+        k=args.bits, n_ch=args.channel_uses, snr_db=(args.snr_db,),
+        shots=(args.shots,), n_sequences=args.sequences, seed=args.seed,
+        finetune_iters=args.iters, outer_iters=args.meta_iters,
+        n_eval=args.n_show, methods=(args.method,)))
+    cfg = exp.run_config(args.snr_db, args.shots)
     model = cfg.build_model()
     for _, h, task in task_sequence(cfg, model):  # ends on the last one
         pass
@@ -99,8 +105,8 @@ def _cmd_constellation(args):
     else:
         theta = inner_adapt(model, model.params, task,
                             cfg.meta.finetune_iters, cfg.meta.inner_lr)
-    export_constellation(model, h, NoiseModel(cfg.sigma2), args.snr_db,
-                         args.n_show, cfg.cell_substream("export"),
+    export_constellation(model, h, NoiseModel(cfg.sigma2), cfg.snr_db,
+                         cfg.n_eval, cfg.cell_substream("export"),
                          args.out, theta=theta)
     print(f"wrote constellation to {args.out}")
 

@@ -162,7 +162,7 @@ def _run_cell(cfg: ExperimentConfig, method: str, snr_db: float, shots: int):
         raise FloatingPointError(f"{method}: {e}") from e
 
 
-def run_experiment(cfg: ExperimentConfig, write: bool = True):
+def run_experiment(cfg: ExperimentConfig):
     """Run the full (method, snr, shots) grid; returns the MetricsRecord list.
 
     Grid cells are executed in deterministic order; per-sequence rows go to
@@ -176,11 +176,10 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True):
                 for seq, ser in _run_cell(cfg, method, snr, shots):
                     records.append(MetricsRecord(method, snr, shots, seq,
                                                  ser, cfg.seed))
-    if write:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        write_metrics_csv(os.path.join(cfg.out_dir, "metrics.csv"), records)
-        write_summary_csv(os.path.join(cfg.out_dir, "summary.csv"),
-                          records, cfg.warmup)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    write_metrics_csv(os.path.join(cfg.out_dir, "metrics.csv"), records)
+    write_summary_csv(os.path.join(cfg.out_dir, "summary.csv"),
+                      records, cfg.warmup)
     return records
 
 

@@ -178,7 +178,8 @@ def _outer_step_stacked(model: CaeModel, theta: np.ndarray, support,
                         adam_state: AdamState, lr: float, buffers: dict):
     """One meta-update from pre-stacked task batches.
 
-    support and query are pilot_batch tuples as produced by _stack_tasks.
+    support and query are pilot_batch tuples as produced by _stack_tasks;
+    query is read only under "fomaml".
     Adapt theta per task on the support set (adapt_steps SGD steps at
     inner_lr) to phi_T, then Adam-update theta on the meta-gradient that
     config.outer_rule selects: the mean query-set gradient at phi_T
@@ -217,7 +218,8 @@ def outer_meta_step(model: CaeModel, theta: np.ndarray, tasks, config: MetaConfi
         raise ValueError("outer_meta_step needs at least one task")
     dtype = theta.dtype
     support = _stack_tasks(model, tasks, "support", dtype)
-    query = _stack_tasks(model, tasks, "query", dtype)
+    query = (_stack_tasks(model, tasks, "query", dtype)
+             if config.outer_rule == "fomaml" else None)
     return _outer_step_stacked(model, theta, support, query,
                                config, adam_state, lr, {})
 
@@ -240,11 +242,14 @@ def meta_train(model: CaeModel, theta: np.ndarray, buffer: TaskBuffer,
     if adam is None:
         adam = AdamState.fresh(theta.shape[-1], dtype=theta.dtype)
     # the buffer is fixed for the whole call, so stack every task once and
-    # index the stacks per iteration instead of restacking
+    # index the stacks per iteration instead of restacking; Reptile never
+    # reads the query sets
     sup_onehot, sup_noise, sup_h, sup_rep = _stack_tasks(model, buffer,
                                                          "support", theta.dtype)
-    qry_onehot, qry_noise, qry_h, qry_rep = _stack_tasks(model, buffer,
-                                                         "query", theta.dtype)
+    fomaml = config.outer_rule == "fomaml"
+    if fomaml:
+        qry_onehot, qry_noise, qry_h, qry_rep = _stack_tasks(
+            model, buffer, "query", theta.dtype)
     buffers = {}
     # two output arrays in turn, so the updated theta never aliases the
     # current one; the caller's array is never written to
@@ -252,7 +257,8 @@ def meta_train(model: CaeModel, theta: np.ndarray, buffer: TaskBuffer,
     for it in range(config.outer_iters):
         idx = rng.choice(n, size=k, replace=n < k)
         support = (sup_onehot, sup_noise[idx], sup_h[idx], sup_rep)
-        query = (qry_onehot, qry_noise[idx], qry_h[idx], qry_rep)
+        query = ((qry_onehot, qry_noise[idx], qry_h[idx], qry_rep)
+                 if fomaml else None)
         lr = step_lr(config.outer_lr, iter_offset + it,
                      config.lr_step_size, config.lr_gamma)
         buffers["theta_out"] = outs[it % 2]

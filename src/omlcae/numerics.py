@@ -19,8 +19,7 @@ can be pushed through the network against inputs of shape (T, B, d) in one
 call, bitwise equal to T separate calls (_matmul runs one GEMM per slice).
 This is what makes meta-training tractable in pure NumPy.
 
-The pure adam_step and softmax_cross_entropy are the test references for the
-in-place Adam and the fused pipeline loss.
+The pure adam_step is the test reference for the in-place Adam.
 """
 
 from dataclasses import dataclass, field
@@ -244,19 +243,6 @@ def mlp_backward(spec: MlpSpec, cache, output_grad: np.ndarray,
     if single and not reduce_lead:
         param_grad = param_grad.reshape(spec.n_params)
     return param_grad, input_grad
-
-
-def softmax_cross_entropy(logits: np.ndarray, label: int):
-    """Stable -log softmax(logits)[label] and its gradient w.r.t. logits."""
-    logits = np.asarray(logits)
-    if not 0 <= label < logits.shape[-1]:
-        raise ValueError(f"label {label} out of range for {logits.shape[-1]} classes")
-    m = logits.max()
-    lse = m + np.log(np.exp(logits - m).sum())
-    loss = lse - logits[label]
-    grad = softmax(logits)
-    grad[label] -= 1.0
-    return float(loss), grad
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8

@@ -91,6 +91,27 @@ def test_constellation_oml_needs_two_sequences(tmp_path):
                         "--out", str(tmp_path / "two.json")]) == 0
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--snr-db=-4000", "snr_db entry -4000.0 "),
+    ("--shots=0", "shots entries must be >= 1"),
+    ("--snr-db=nan", "snr_db entry nan ")])
+def test_constellation_rejects_an_invalid_config_before_training(
+        tmp_path, monkeypatch, flag, message):
+    # the flags go through run's config checks: one line naming the field,
+    # no traceback, no training and no file
+    def train(*args, **kwargs):
+        raise AssertionError("trained on an invalid config")
+
+    monkeypatch.setattr(cli, "task_sequence", train)
+    out = tmp_path / "c.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["constellation", flag, "--out", str(out)])
+    text = str(exc.value)
+    assert text.startswith(f"omlcae constellation: {message}"), text
+    assert "\n" not in text and exc.value.__suppress_context__
+    assert not out.exists()
+
+
 def test_constellation_command(tmp_path):
     out = tmp_path / "c.json"
     assert main(["constellation", "--bits", "2", "--channel-uses", "1",

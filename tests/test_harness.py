@@ -17,7 +17,7 @@ from omlcae.harness import (ExperimentConfig, MetricsRecord, apply_profile,
                             mean_efficiency_ratio, parse_config,
                             read_metrics_csv, run_experiment, summarize,
                             write_metrics_csv, write_summary_csv)
-from omlcae.metalearn import MetaConfig, make_pilot_task
+from omlcae.metalearn import MetaConfig, RunConfig, make_pilot_task
 
 
 def tiny_cfg(tmp_path, **kw):
@@ -71,6 +71,15 @@ def test_config_validation():
     tiny_cfg("/tmp", snr_db=(5.0, float("inf"))).validate()
 
 
+def test_the_paper_profile_is_the_defaults():
+    # omlcae constellation takes its cell from parse_config's paper profile,
+    # so the profile, the ExperimentConfig defaults and the RunConfig (and
+    # MetaConfig) defaults must agree
+    assert apply_profile(ExperimentConfig()) == ExperimentConfig()
+    assert ExperimentConfig().run_config(5.0, 1) == RunConfig(snr_db=5.0,
+                                                              shots=1)
+
+
 def test_apply_profile_fills_fields():
     cfg = apply_profile(ExperimentConfig(profile="desk"))
     assert cfg.n_sequences == 60 and cfg.n_eval == 4000
@@ -119,7 +128,7 @@ def test_non_finite_parameters_fail_loudly(tmp_path, method):
     with np.errstate(all="ignore"), pytest.raises(
             FloatingPointError,
             match=f"^{method}: .*snr 5 dB, shots 1, sequence 1$"):
-        run_experiment(cfg, write=False)
+        run_experiment(cfg)
 
 
 @pytest.mark.parametrize("method", ["oml_cae", "cae", "joint_cae"])
@@ -141,7 +150,7 @@ def test_non_finite_guard_names_a_sequence_inside_a_block(tmp_path, method,
     with np.errstate(all="ignore"), pytest.raises(
             FloatingPointError,
             match=f"^{method}: .*snr 5 dB, shots 1, sequence 3$"):
-        run_experiment(cfg, write=False)
+        run_experiment(cfg)
     assert len(seen) == 5  # the block held every sequence
 
 
@@ -161,7 +170,7 @@ def test_run_experiment_deterministic_outputs(tmp_path):
 def test_qpsk_high_snr_all_zero(tmp_path):
     cfg = tiny_cfg(tmp_path, snr_db=(60.0,), methods=("qpsk_mle",),
                    n_sequences=3)
-    records = run_experiment(cfg, write=False)
+    records = run_experiment(cfg)
     assert all(r.ser == 0.0 for r in records)
 
 

@@ -7,8 +7,22 @@ from omlcae import rng as rngmod
 from omlcae.numerics import (ACT_LINEAR, ACT_SOFTMAX, LEAKY_SLOPE, AdamState,
                              MlpSpec, _matmul, adam_step, adam_step_inplace,
                              finite_diff_grad, init_params, leaky_relu,
-                             mlp_backward, mlp_forward, softmax_cross_entropy,
-                             step_lr, unpack_params)
+                             mlp_backward, mlp_forward, softmax, step_lr,
+                             unpack_params)
+
+
+def softmax_cross_entropy(logits: np.ndarray, label: int):
+    """Stable -log softmax(logits)[label] and its gradient w.r.t. logits:
+    the per-sample reference for the fused pipeline loss."""
+    logits = np.asarray(logits)
+    if not 0 <= label < logits.shape[-1]:
+        raise ValueError(f"label {label} out of range for {logits.shape[-1]} classes")
+    m = logits.max()
+    lse = m + np.log(np.exp(logits - m).sum())
+    loss = lse - logits[label]
+    grad = softmax(logits)
+    grad[label] -= 1.0
+    return float(loss), grad
 
 
 def test_spec_param_count_and_layout():
