@@ -11,7 +11,7 @@ from collections import deque
 import numpy as np
 
 from .cae import CaeModel
-from .channel import NoiseModel, awgn, cmul
+from .channel import NoiseModel, awgn, cmul, cmul_conj
 from .metalearn import (RunConfig, _chunk_schedule, channel_sequence,
                         fine_tune_blocks, run_sgd, task_sequence)
 
@@ -33,16 +33,10 @@ def mle_channel_estimate(pilot_tx, pilot_rx) -> np.ndarray:
     if tx.shape != rx.shape or tx.shape[0] == 0:
         raise ValueError("pilot_tx and pilot_rx must be matched nonempty lists")
     tr, ti = tx[:, 0::2], tx[:, 1::2]
-    rr, ri = rx[:, 0::2], rx[:, 1::2]
-    num_re = np.sum(tr * rr + ti * ri, axis=0)
-    num_im = np.sum(tr * ri - ti * rr, axis=0)
     den = np.sum(tr * tr + ti * ti, axis=0)
     if np.any(den == 0):
         raise ValueError("zero pilot energy on some channel use")
-    h_hat = np.empty(tx.shape[1], dtype=tx.dtype)
-    h_hat[0::2] = num_re / den
-    h_hat[1::2] = num_im / den
-    return h_hat
+    return cmul_conj(tx, rx).sum(axis=0) / np.repeat(den, 2)
 
 
 def qpsk_mle_ser(h: np.ndarray, noise: NoiseModel, shots: int, k: int,
@@ -75,13 +69,10 @@ def qpsk_mle_ser(h: np.ndarray, noise: NoiseModel, shots: int, k: int,
     x = QPSK_POINTS[point_idx].reshape(n_eval, 2 * n)
     y = cmul(h, x) + awgn(rng, n, noise.sigma2, size=n_eval)
 
-    # matched filter z = y * conj(h_hat); per-component sign decides each bit
-    hr, hi = h_hat[0::2], h_hat[1::2]
-    yr, yi = y[:, 0::2], y[:, 1::2]
-    z_re = yr * hr + yi * hi
-    z_im = -yr * hi + yi * hr
-    b1_hat = (z_re <= 0).astype(np.int64)
-    b0_hat = (z_im <= 0).astype(np.int64)
+    # matched filter z = conj(h_hat) * y; per-component sign decides each bit
+    z = cmul_conj(h_hat, y)
+    b1_hat = (z[:, 0::2] <= 0).astype(np.int64)
+    b0_hat = (z[:, 1::2] <= 0).astype(np.int64)
     bit_errors = (b0_hat != bits[..., 0]) | (b1_hat != bits[..., 1])
     return float(np.mean(np.any(bit_errors, axis=-1)))
 

@@ -111,7 +111,8 @@ def encode(model: CaeModel, messages, theta: np.ndarray = None) -> np.ndarray:
 
 
 def decode(model: CaeModel, y: np.ndarray, theta: np.ndarray = None) -> np.ndarray:
-    """Decode received signal(s) into message probability vectors."""
+    """Decode received rows y (..., B, 2*n_ch) into message probability
+    vectors."""
     theta = model.params if theta is None else theta
     if y.shape[-1] != 2 * model.n_ch:
         raise ValueError(f"received length {y.shape[-1]} != {2 * model.n_ch}")

@@ -11,6 +11,7 @@ Subcommands:
 import argparse
 import os
 import sys
+from collections import deque
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .harness import (_EXPERIMENT_KEYS, PROFILES, ExperimentConfig,
                       efficiency_analysis, export_constellation,
                       mean_efficiency_ratio, parse_config, read_metrics_csv,
                       run_experiment, summarize)
-from .metalearn import inner_adapt, make_pilot_task, online_run, task_sequence
+from .metalearn import inner_adapt, make_pilot_task, online_starts, task_sequence
 from .numerics import finite_diff_grad
 
 
@@ -97,14 +98,16 @@ def _cmd_constellation(args):
         n_eval=args.n_show, methods=(args.method,)))
     cfg = exp.run_config(args.snr_db, args.shots)
     model = cfg.build_model()
-    for _, h, task in task_sequence(cfg, model):  # ends on the last one
-        pass
-    if args.method == "oml_cae":
-        theta = online_run(cfg, model=model, row=lambda i, _, th: th
-                           if i == cfg.n_sequences else None)[-1]
-    else:
-        theta = inner_adapt(model, model.params, task,
-                            cfg.meta.finetune_iters, cfg.meta.inner_lr)
+    # the last sequence's start, either the meta-initialization or the init
+    stream = (online_starts(cfg, model) if args.method == "oml_cae" else
+              ((i, h, task, model.params)
+               for i, h, task in task_sequence(cfg, model)))
+    (_, h, task, start), = deque(stream, maxlen=1)
+    theta = inner_adapt(model, start, task, cfg.meta.finetune_iters,
+                        cfg.meta.inner_lr)
+    if not np.isfinite(theta).all():
+        raise SystemExit("omlcae constellation: non-finite parameters after "
+                         f"the fine-tune of sequence {cfg.n_sequences}")
     export_constellation(model, h, NoiseModel(cfg.sigma2), cfg.snr_db,
                          cfg.n_eval, cfg.cell_substream("export"),
                          args.out, theta=theta)

@@ -27,9 +27,11 @@ The online loop, per sequence i:
 So the first meta-training runs on a one-task buffer, and the last
 sequence's slice, which would only produce an initialization no sequence
 fine-tunes from, is never run.  Optimizer state and the learning rate
-schedule continue across sequences.  Steps 4-5 feed nothing back, so they
-run in fine_tune_blocks, concurrently with the next sequence's steps 1-3 at
-the paper width.
+schedule continue across sequences.  online_starts runs steps 1-3 and 6 and
+yields each sequence's start; steps 4-5 feed nothing back, so online_run
+runs them in fine_tune_blocks, concurrently with the next sequence's steps
+1-3 at the paper width.  A caller that needs one sequence's fine-tune (the
+constellation export) pulls online_starts alone.
 """
 
 import hashlib
@@ -395,36 +397,35 @@ def _chunk_schedule(outer_iters: int, n_sequences: int):
     return [base + (1 if i < extra else 0) for i in range(n_sequences)]
 
 
-def online_run(cfg: RunConfig, model: CaeModel = None,
-               row=lambda i, ser, th: SequenceResult(i, ser, theta_hash(th))):
-    """Run the full online meta-learning protocol; returns
-    [row(i, ser, fine-tuned theta)] per sequence, SequenceResults by default.
+def online_starts(cfg: RunConfig, model: CaeModel):
+    """Yield (i, h, task, start theta) per sequence of the online protocol:
+    the start is the meta-initialization sequence i fine-tunes from.
 
     config.meta.outer_iters is the total meta-training budget for the whole
     run: it is split uniformly over the sequences, and the Adam state plus the
     step-decay schedule carry across sequences, so the updates interleaved
     with the sequence loop form one continuous meta-training run over the
-    evolving buffer.  Sequence i fine-tunes (in fine_tune_blocks) from the
-    initialization meta-trained through sequence i - 1, whose chunk runs when
-    sequence i's start is pulled; the last sequence's chunk reaches no row
-    and never runs."""
+    evolving buffer.  Sequence i - 1's chunk runs when sequence i's start is
+    pulled, so the last sequence's chunk reaches no start and never runs."""
+    chunks = _chunk_schedule(cfg.meta.outer_iters, cfg.n_sequences)
+    theta = model.params
+    buffer = TaskBuffer(cfg.meta.buffer_capacity)
+    sample_rng = cfg.cell_substream("task-sampling")
+    adam = AdamState.fresh(theta.shape[-1], dtype=theta.dtype)
+    for i, h, task in task_sequence(cfg, model):
+        if i > 1 and chunks[i - 2] > 0:
+            per_call = replace(cfg.meta, outer_iters=chunks[i - 2])
+            theta = meta_train(model, theta, buffer, per_call, sample_rng,
+                               iter_offset=sum(chunks[:i - 2]), adam=adam)
+        yield i, h, task, theta  # meta_train never writes its theta
+        buffer.append(task)
+
+
+def online_run(cfg: RunConfig, model: CaeModel = None,
+               row=lambda i, ser, th: SequenceResult(i, ser, theta_hash(th))):
+    """Run the full online meta-learning protocol: fine-tune and score every
+    start of online_starts in fine_tune_blocks; returns
+    [row(i, ser, fine-tuned theta)] per sequence, SequenceResults by default."""
     if model is None:
         model = cfg.build_model()
-    chunks = _chunk_schedule(cfg.meta.outer_iters, cfg.n_sequences)
-
-    def starts():
-        theta = model.params
-        buffer = TaskBuffer(cfg.meta.buffer_capacity)
-        sample_rng = cfg.cell_substream("task-sampling")
-        adam = AdamState.fresh(theta.shape[-1], dtype=theta.dtype)
-        for i, h, task in task_sequence(cfg, model):
-            # chunk i - 1 runs only once sequence i asks for its start, so
-            # the pull past the last sequence meta-trains nothing
-            if i > 1 and chunks[i - 2] > 0:
-                per_call = replace(cfg.meta, outer_iters=chunks[i - 2])
-                theta = meta_train(model, theta, buffer, per_call, sample_rng,
-                                   iter_offset=sum(chunks[:i - 2]), adam=adam)
-            yield i, h, task, theta  # meta_train never writes its theta
-            buffer.append(task)
-
-    return fine_tune_blocks(model, cfg, starts(), row)
+    return fine_tune_blocks(model, cfg, online_starts(cfg, model), row)

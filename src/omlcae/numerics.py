@@ -13,11 +13,12 @@ pre-activation for mlp_backward; inference (cae.encode and cae.decode)
 passes keep_cache=False and holds one layer's arrays of a block of at most
 INFER_BLOCK_ROWS rows at a time.
 
-All core routines accept arbitrary leading axes on both the parameter vector
-and the inputs, so a stack of T task-adapted parameter vectors of shape (T, P)
-can be pushed through the network against inputs of shape (T, B, d) in one
-call, bitwise equal to T separate calls (_matmul runs one GEMM per slice).
-This is what makes meta-training tractable in pure NumPy.
+Inputs are row-stacked, (..., B, d).  All core routines accept arbitrary
+leading axes on both the parameter vector and the inputs, so a stack of T
+task-adapted parameter vectors of shape (T, P) can be pushed through the
+network against inputs of shape (T, B, d) in one call, bitwise equal to T
+separate calls (_matmul runs one GEMM per slice).  This is what makes
+meta-training tractable in pure NumPy.
 
 The pure adam_step is the test reference for the in-place Adam.
 """
@@ -56,15 +57,12 @@ class MlpSpec:
 
     @cached_property
     def n_params(self) -> int:
-        return self._layout[-1][1].stop
+        return self.layout[-1][1].stop
 
+    @cached_property
     def layout(self):
         """Per-layer (weight_slice, bias_slice, out_dim, in_dim) tuples,
         computed once per spec, since every training step reads them."""
-        return self._layout
-
-    @cached_property
-    def _layout(self):
         out, offset = [], 0
         for d_in, d_out in zip(self.layer_dims, self.layer_dims[1:]):
             w_sl = slice(offset, offset + d_out * d_in)
@@ -82,7 +80,7 @@ def unpack_params(spec: MlpSpec, theta: np.ndarray):
         )
     lead = theta.shape[:-1]
     layers = []
-    for w_sl, b_sl, d_out, d_in in spec.layout():
+    for w_sl, b_sl, d_out, d_in in spec.layout:
         w = theta[..., w_sl].reshape(lead + (d_out, d_in))
         b = theta[..., b_sl]
         layers.append((w, b))
@@ -93,7 +91,7 @@ def init_params(spec: MlpSpec, rng: np.random.Generator,
                 dtype=np.float64) -> np.ndarray:
     """Uniform fan-in init: W ~ U[-1/sqrt(fan_in), 1/sqrt(fan_in)], b = 0."""
     theta = np.zeros(spec.n_params, dtype=dtype)
-    for w_sl, b_sl, d_out, d_in in spec.layout():
+    for w_sl, b_sl, d_out, d_in in spec.layout:
         bound = 1.0 / np.sqrt(d_in)
         theta[w_sl] = rng.uniform(-bound, bound, size=d_out * d_in)
     return theta
@@ -147,30 +145,28 @@ def mlp_forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray,
                 keep_cache: bool = True):
     """Forward pass.
 
-    x may be a single vector (d0,) or carry leading batch/task axes
-    (..., B, d0); a stacked (T, P) theta needs the latter.  Returns
-    (output, cache); the cache holds the unpacked layers, per-layer inputs
-    and pre-activations, and is consumed by mlp_backward.  keep_cache=False
-    returns (output, None) and holds one activation of a block of at most
-    INFER_BLOCK_ROWS rows: each layer's input is dropped once its product is
-    formed, so inference needs about two block activations (per stacked
-    slice), not two per layer.  The output is bitwise the same either way.
+    x carries a row axis and any leading task axes, (..., B, d0); a 1-D x
+    raises ValueError.  Returns (output, cache); the cache holds the
+    unpacked layers, per-layer inputs and pre-activations, and is consumed
+    by mlp_backward.  keep_cache=False returns (output, None) and holds one
+    activation of a block of at most INFER_BLOCK_ROWS rows: each layer's
+    input is dropped once its product is formed, so inference needs about
+    two block activations (per stacked slice), not two per layer.  The
+    output is bitwise the same either way.
     """
-    single = x.ndim == 1
-    if single and theta.ndim > 1:
-        raise ValueError(f"1-D input {x.shape} with stacked parameters "
+    if x.ndim == 1:
+        raise ValueError(f"1-D input {x.shape} with parameters "
                          f"{theta.shape}: give the input a row axis")
-    a = x[None, :] if single else x
-    if a.shape[-1] != spec.layer_dims[0]:
+    if x.shape[-1] != spec.layer_dims[0]:
         raise ValueError(
-            f"input dim {a.shape[-1]} != layer_dims[0]={spec.layer_dims[0]}"
+            f"input dim {x.shape[-1]} != layer_dims[0]={spec.layer_dims[0]}"
         )
     layers = unpack_params(spec, theta)
     inputs, preacts, blocks = [], [], []  # layer inputs, z = a @ W^T + b
-    rows, last = a.shape[-2], len(layers) - 1
+    rows, last = x.shape[-2], len(layers) - 1
     n = 1 if keep_cache else max(1, -(-rows // INFER_BLOCK_ROWS))
     for j in range(n):
-        z = a if n == 1 else a[..., rows * j // n:rows * (j + 1) // n, :]
+        z = x if n == 1 else x[..., rows * j // n:rows * (j + 1) // n, :]
         for i, (w, b) in enumerate(layers):
             if keep_cache:
                 inputs.append(z)
@@ -184,8 +180,7 @@ def mlp_forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray,
                 z = softmax(z)
         blocks.append(z)
     out = blocks[0] if n == 1 else np.concatenate(blocks, axis=-2)
-    out = out[0] if single else out
-    return out, (layers, inputs, preacts, single) if keep_cache else None
+    return out, (layers, inputs, preacts) if keep_cache else None
 
 
 def mlp_backward(spec: MlpSpec, cache, output_grad: np.ndarray,
@@ -204,8 +199,8 @@ def mlp_backward(spec: MlpSpec, cache, output_grad: np.ndarray,
     gradients into one flat matrix product; input_grad stays per-task.
     want_input_grad=False skips the first layer's input gradient (None).
     """
-    layers, inputs, preacts, single = cache
-    delta = output_grad[None, :] if single else output_grad
+    layers, inputs, preacts = cache
+    delta = output_grad
     dtype = np.dtype(delta.dtype)
 
     # delta has the forward output's leading axes: theta's and x's broadcast
@@ -216,7 +211,7 @@ def mlp_backward(spec: MlpSpec, cache, output_grad: np.ndarray,
         if out.shape != grad_lead + (spec.n_params,):
             raise ValueError("out array has wrong shape")
         param_grad = out
-    layout = spec.layout()
+    layout = spec.layout
 
     for i in range(len(layers) - 1, -1, -1):
         a_in = inputs[i]
@@ -238,10 +233,6 @@ def mlp_backward(spec: MlpSpec, cache, output_grad: np.ndarray,
             delta = _matmul(delta, layers[i][0])
             delta *= _leaky_grad(preacts[i - 1], dtype)  # freshly owned
     input_grad = _matmul(delta, layers[0][0]) if want_input_grad else None
-    if single and want_input_grad:
-        input_grad = input_grad[0]
-    if single and not reduce_lead:
-        param_grad = param_grad.reshape(spec.n_params)
     return param_grad, input_grad
 
 

@@ -62,7 +62,7 @@ def test_encode_power_and_determinism():
 
 def test_decode_uniform_at_zero_params_and_normalized():
     model = small_model()
-    probs = decode(model, np.array([0.3, -0.7]), theta=np.zeros(model.n_params))
+    probs = decode(model, np.array([[0.3, -0.7]]), theta=np.zeros(model.n_params))
     assert np.allclose(probs, 0.25, atol=1e-12)
     probs = decode(model, rngmod.substream(2, "y").normal(size=(10, 2)))
     assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
@@ -280,11 +280,11 @@ def test_relabeling_permutes_model_consistently():
     perm = np.array([2, 0, 3, 1])  # new message i behaves like old perm[i]
     theta = model.params.copy()
     enc = model.encoder_spec
-    w_sl, _, d_out, d_in = enc.layout()[0]
+    w_sl, _, d_out, d_in = enc.layout[0]
     theta_p = theta.copy()
     theta_p[w_sl] = theta[w_sl].reshape(d_out, d_in)[:, perm].ravel()
     dec = model.decoder_spec
-    w_sl, b_sl, d_out, d_in = dec.layout()[-1]
+    w_sl, b_sl, d_out, d_in = dec.layout[-1]
     off = model.split
     wl = theta[off + w_sl.start:off + w_sl.stop].reshape(d_out, d_in)
     bl = theta[off + b_sl.start:off + b_sl.stop]

@@ -6,8 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from omlcae import cli
+from omlcae import cli, metalearn
+from omlcae.channel import NoiseModel
 from omlcae.cli import main
+from omlcae.harness import export_constellation, parse_config
 
 
 def test_run_tiny_grid_and_determinism(tmp_path, capsys):
@@ -109,6 +111,59 @@ def test_constellation_rejects_an_invalid_config_before_training(
     text = str(exc.value)
     assert text.startswith(f"omlcae constellation: {message}"), text
     assert "\n" not in text and exc.value.__suppress_context__
+    assert not out.exists()
+
+
+def test_constellation_oml_fine_tunes_only_the_exported_sequence(
+        tmp_path, monkeypatch):
+    # the export fine-tunes the last sequence from its meta-initialization
+    # and scores no sequence, yet writes the bytes of online_run's last theta
+    cfg = parse_config(None, dict(
+        k=2, n_ch=1, snr_db=(5.0,), shots=(1,), n_sequences=4, seed=0,
+        finetune_iters=5, outer_iters=6, n_eval=16,
+        methods=("oml_cae",))).run_config(5.0, 1)
+    model = cfg.build_model()
+    theta = metalearn.online_run(cfg, model=model, row=lambda i, _, th: th
+                                 if i == cfg.n_sequences else None)[-1]
+    *_, (_, h) = metalearn.channel_sequence(cfg)
+    want = tmp_path / "want.json"
+    export_constellation(model, h, NoiseModel(cfg.sigma2), cfg.snr_db,
+                         cfg.n_eval, cfg.cell_substream("export"), str(want),
+                         theta=theta)
+
+    calls = {"sequence_ser": 0, "fine-tuned": 0}
+    adapt = metalearn.inner_adapt
+
+    def counted_adapt(model, theta, task, *args, **kwargs):
+        calls["fine-tuned"] += len(task) if isinstance(task, list) else 1
+        return adapt(model, theta, task, *args, **kwargs)
+
+    def counted_ser(*args):
+        calls["sequence_ser"] += 1
+        return 0.0
+
+    monkeypatch.setattr(metalearn, "inner_adapt", counted_adapt)
+    monkeypatch.setattr(cli, "inner_adapt", counted_adapt)
+    monkeypatch.setattr(metalearn, "sequence_ser", counted_ser)
+    out = tmp_path / "c.json"
+    assert main(["constellation", "--method", "oml_cae", "--bits", "2",
+                 "--channel-uses", "1", "--shots", "1", "--sequences", "4",
+                 "--iters", "5", "--meta-iters", "6", "--n-show", "16",
+                 "--out", str(out)]) == 0
+    assert calls == {"sequence_ser": 0, "fine-tuned": 1}
+    assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("method", ["cae", "oml_cae"])
+def test_constellation_rejects_non_finite_parameters(tmp_path, monkeypatch,
+                                                     method):
+    monkeypatch.setattr(cli, "inner_adapt",
+                        lambda model, *args: np.full(model.n_params, np.nan))
+    out = tmp_path / "c.json"
+    with pytest.raises(SystemExit, match="non-finite parameters after the "
+                                         "fine-tune of sequence 2"):
+        main(["constellation", "--method", method, "--sequences", "2",
+              "--iters", "1", "--meta-iters", "1", "--out", str(out)])
     assert not out.exists()
 
 

@@ -30,7 +30,7 @@ def test_spec_param_count_and_layout():
     assert spec.n_params == 20
     spec = MlpSpec((3, 5, 2))
     assert spec.n_params == 3 * 5 + 5 + 5 * 2 + 2
-    (w0, b0, d0, i0), (w1, b1, d1, i1) = spec.layout()
+    (w0, b0, d0, i0), (w1, b1, d1, i1) = spec.layout
     assert (d0, i0) == (5, 3) and (d1, i1) == (2, 5)
     assert w0 == slice(0, 15) and b0 == slice(15, 20)
 
@@ -70,7 +70,7 @@ def test_leaky_relu_slope():
 
 def test_forward_zero_params_softmax_uniform():
     spec = MlpSpec((3, 5, 4), output_activation=ACT_SOFTMAX)
-    out, _ = mlp_forward(spec, np.zeros(spec.n_params), np.array([1.0, -2.0, 0.5]))
+    out, _ = mlp_forward(spec, np.zeros(spec.n_params), np.array([[1.0, -2.0, 0.5]]))
     assert np.allclose(out, 0.25, atol=1e-12)
 
 
@@ -78,25 +78,28 @@ def test_forward_hidden_activation_values():
     # single hidden unit with identity weight: pre-activation passes the slope
     spec = MlpSpec((1, 1, 1))
     theta = np.array([1.0, 0.0, 1.0, 0.0])  # W0=1,b0=0,W1=1,b1=0
-    out, _ = mlp_forward(spec, theta, np.array([-1.0]))
+    out, _ = mlp_forward(spec, theta, np.array([[-1.0]]))
     assert np.isclose(out[0], -0.01)
-    out, _ = mlp_forward(spec, theta, np.array([2.0]))
+    out, _ = mlp_forward(spec, theta, np.array([[2.0]]))
     assert np.isclose(out[0], 2.0)
 
 
 def test_forward_dimension_mismatch():
     spec = MlpSpec((3, 2))
     with pytest.raises(ValueError):
-        mlp_forward(spec, np.zeros(spec.n_params), np.zeros(4))
+        mlp_forward(spec, np.zeros(spec.n_params), np.zeros((1, 4)))
 
 
 @pytest.mark.parametrize("keep_cache", [True, False])
 def test_forward_rejects_single_input_with_stacked_params(keep_cache):
-    # a (d0,) input against a (T, P) stack used to return task 0's output
+    # a (d0,) input against a (T, P) stack used to return task 0's output;
+    # inputs need a row axis whatever the parameters' shape
     spec = MlpSpec((3, 5, 2))
     theta = np.zeros((4, spec.n_params))
     with pytest.raises(ValueError, match=r"\(3,\).*\(4, 32\)"):
         mlp_forward(spec, theta, np.ones(3), keep_cache=keep_cache)
+    with pytest.raises(ValueError, match=r"\(3,\).*\(32,\)"):
+        mlp_forward(spec, theta[0], np.ones(3), keep_cache=keep_cache)
     out, _ = mlp_forward(spec, theta, np.ones((1, 3)), keep_cache=keep_cache)
     assert out.shape == (4, 1, 2)
 
@@ -106,9 +109,8 @@ def _reference_softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _reference_forward(spec, theta, x):
+def _reference_forward(spec, theta, a):
     # the layer math written out with a fresh array per operation
-    a = x[None, :] if x.ndim == 1 else x
     layers = unpack_params(spec, theta)
     for i, (w, b) in enumerate(layers):
         z = _matmul(a, w.swapaxes(-1, -2)) + b[..., None, :]
@@ -118,7 +120,7 @@ def _reference_forward(spec, theta, x):
             a = _reference_softmax(z)
         else:
             a = z
-    return a[0] if x.ndim == 1 else a
+    return a
 
 
 def test_cache_free_forward_bitwise_equals_cached():
@@ -130,9 +132,7 @@ def test_cache_free_forward_bitwise_equals_cached():
                       np.stack([init_params(spec, rng, dtype=dtype)
                                 for _ in range(3)]))
             for theta in thetas:
-                for shape in ((6,), (40, 6), (3, 40, 6)):
-                    if theta.ndim == 2 and len(shape) == 1:
-                        continue
+                for shape in ((1, 6), (40, 6), (3, 40, 6)):
                     x = rng.normal(size=shape).astype(dtype)
                     cached, cache = mlp_forward(spec, theta, x)
                     free, none = mlp_forward(spec, theta, x, keep_cache=False)
@@ -144,25 +144,24 @@ def test_cache_free_forward_bitwise_equals_cached():
                     if act == ACT_SOFTMAX:
                         # the softmax left the cached logits intact
                         want = _reference_softmax(cache[2][-1])
-                        assert np.array_equal(
-                            cached, want[0] if x.ndim == 1 else want)
+                        assert np.array_equal(cached, want)
 
 
 def test_backward_zero_grad():
     spec = MlpSpec((3, 4, 2))
     rng = rngmod.substream(2, "bw")
     theta = init_params(spec, rng)
-    _, cache = mlp_forward(spec, theta, rng.normal(size=3))
-    pg, ig = mlp_backward(spec, cache, np.zeros(2))
+    _, cache = mlp_forward(spec, theta, rng.normal(size=(1, 3)))
+    pg, ig = mlp_backward(spec, cache, np.zeros((1, 2)))
     assert np.all(pg == 0.0) and np.all(ig == 0.0)
 
 
 def test_backward_single_linear_layer_closed_form():
     spec = MlpSpec((3, 2))
     theta = rngmod.substream(3, "lin").normal(size=spec.n_params)
-    x = np.array([0.5, -1.5, 2.0])
+    x = np.array([[0.5, -1.5, 2.0]])
     _, cache = mlp_forward(spec, theta, x)
-    pg, ig = mlp_backward(spec, cache, np.array([1.0, 0.0]))  # loss=y0
+    pg, ig = mlp_backward(spec, cache, np.array([[1.0, 0.0]]))  # loss=y0
     w = theta[:6].reshape(2, 3)
     assert np.allclose(pg[:6].reshape(2, 3), np.vstack([x, np.zeros(3)]))
     assert np.allclose(pg[6:], [1.0, 0.0])
