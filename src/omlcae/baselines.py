@@ -6,8 +6,6 @@ noise) as the meta-learned system, and QPSK+MLE the same channels, so
 comparisons are paired per sequence.
 """
 
-from collections import deque
-
 import numpy as np
 
 from .cae import CaeModel
@@ -105,46 +103,47 @@ def _joint_train(model: CaeModel, theta: np.ndarray, store, iters: int,
     return run_sgd(model, theta, batches, lr)
 
 
-def run_scratch_cae(cfg: RunConfig, model: CaeModel = None):
-    """Scratch-CAE over the shared task sequence; returns [(sequence, ser)].
-
-    Per sequence: fresh init, finetune_iters SGD steps on the support set
-    (in fine_tune_blocks), evaluate.
-    """
-    if model is None:
-        model = cfg.build_model()
-    starts = ((i, h, task, model.init_like(cfg.cell_substream("scratch-init", i)))
-              for i, h, task in task_sequence(cfg, model))
-    return fine_tune_blocks(model, cfg, starts, lambda i, ser, _: (i, ser))
+def scratch_starts(cfg: RunConfig, model: CaeModel):
+    """Yield (i, h, task, start theta) per sequence of the scratch CAE: the
+    start is a fresh init, the ("scratch-init", i) draw."""
+    for i, h, task in task_sequence(cfg, model):
+        yield i, h, task, model.init_like(cfg.cell_substream("scratch-init", i))
 
 
-def run_joint_cae(cfg: RunConfig, model: CaeModel = None,
-                  store_capacity: int = None):
-    """Joint-CAE over the shared task sequence; returns [(sequence, ser)].
-
-    Per sequence: store the task (the oldest drops out past store_capacity;
-    None keeps all), train the warm-started parameters on mixed batches over
-    the stored pilots, fine-tune a copy on the current support, evaluate.
-    The jointly trained parameters carry forward.  For compute parity with
-    online_run, cfg.meta.outer_iters is the whole run's joint budget, split
-    over the sequences by the same schedule.
-    """
-    if model is None:
-        model = cfg.build_model()
+def joint_starts(cfg: RunConfig, model: CaeModel):
+    """Yield (i, h, task, start theta) per sequence of the joint CAE: store
+    the task, then train the warm-started parameters on mixed batches over
+    every stored task; the start is the jointly trained theta, which carries
+    forward.  For compute parity with online_starts, cfg.meta.outer_iters is
+    the whole run's joint budget, split over the sequences by the same
+    schedule."""
     chunks = _chunk_schedule(cfg.meta.outer_iters, cfg.n_sequences)
+    theta, store = model.params, []
+    sample_rng = cfg.cell_substream("joint-sample")
+    for i, h, task in task_sequence(cfg, model):
+        store.append(task)
+        theta = _joint_train(model, theta, store, chunks[i - 1],
+                             cfg.meta.inner_lr, cfg.meta.tasks_per_update,
+                             sample_rng)
+        yield i, h, task, theta  # _joint_train never writes its theta
 
-    def starts():
-        theta = model.params.copy()
-        store = deque(maxlen=store_capacity)
-        sample_rng = cfg.cell_substream("joint-sample")
-        for i, h, task in task_sequence(cfg, model):
-            store.append(task)
-            theta = _joint_train(model, theta, store, chunks[i - 1],
-                                 cfg.meta.inner_lr, cfg.meta.tasks_per_update,
-                                 sample_rng)
-            yield i, h, task, theta  # _joint_train never writes its theta
 
-    return fine_tune_blocks(model, cfg, starts(), lambda i, ser, _: (i, ser))
+def run_scratch_cae(cfg: RunConfig, model: CaeModel = None):
+    """Scratch-CAE: fine-tune and score every start of scratch_starts;
+    returns [(sequence, ser)]."""
+    if model is None:
+        model = cfg.build_model()
+    return fine_tune_blocks(model, cfg, scratch_starts(cfg, model),
+                            lambda i, ser, _: (i, ser))
+
+
+def run_joint_cae(cfg: RunConfig, model: CaeModel = None):
+    """Joint-CAE: fine-tune and score every start of joint_starts; returns
+    [(sequence, ser)]."""
+    if model is None:
+        model = cfg.build_model()
+    return fine_tune_blocks(model, cfg, joint_starts(cfg, model),
+                            lambda i, ser, _: (i, ser))
 
 
 def run_qpsk_mle(cfg: RunConfig):

@@ -2,7 +2,7 @@
 
 Subcommands:
   run            -- execute the experiment grid, write metrics/summary CSVs
-  efficiency     -- pilot-efficiency ratios from two metrics CSVs
+  efficiency     -- pilot-efficiency ratios from two runs' summary CSVs
   constellation  -- train on one channel realization and export JSON
   gradcheck      -- backprop vs central finite differences
   channel-stats  -- AR(1) fading statistics sanity report
@@ -18,11 +18,12 @@ import numpy as np
 from . import rng as rngmod
 from .cae import CaeModel, loss_and_grads
 from .channel import FadingProcess, NoiseModel, rayleigh_sample, snr_to_sigma2, to_complex
-from .harness import (_EXPERIMENT_KEYS, PROFILES, ExperimentConfig,
+from .baselines import scratch_starts
+from .harness import (_EXPERIMENT_KEYS, PROFILES, SUMMARY_HEADER,
                       efficiency_analysis, export_constellation,
-                      mean_efficiency_ratio, parse_config, read_metrics_csv,
-                      run_experiment, summarize)
-from .metalearn import inner_adapt, make_pilot_task, online_starts, task_sequence
+                      mean_efficiency_ratio, parse_config, run_experiment,
+                      summarize)
+from .metalearn import inner_adapt, make_pilot_task, online_starts
 from .numerics import finite_diff_grad
 
 
@@ -62,13 +63,17 @@ def _cmd_run(args):
 
 
 def _efficiency_curve(path, method_prefix):
-    """(shots, post-warm-up mean SER) of the method's cells, as in summary.csv."""
-    cells = summarize(read_metrics_csv(path), ExperimentConfig.warmup)
-    snrs = sorted({snr for _, snr, *_ in cells})
+    """(shots, mean SER) of the method's cells in a run's summary.csv."""
+    with open(path) as f:
+        if (header := f.readline().strip()) != SUMMARY_HEADER:
+            raise SystemExit(f"omlcae efficiency: {path} is not a summary.csv"
+                             f" (header {header!r})")
+        cells = [line.split(",") for line in f]
+    snrs = sorted({float(snr) for _, snr, *_ in cells})
     if len(snrs) > 1:
         raise SystemExit(f"omlcae efficiency: {path} holds {len(snrs)} SNRs ("
                          f"{', '.join(map('{:g}'.format, snrs))} dB); pass one per CSV")
-    return sorted((shots, ser) for method, _, shots, ser, _, _ in cells
+    return sorted((int(shots), float(ser)) for method, _, shots, ser, *_ in cells
                   if method.startswith(method_prefix))
 
 
@@ -83,13 +88,16 @@ def _cmd_efficiency(args):
                      f"{str(r.reachable).lower()}")
     with open(args.out, "w", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
-    print(f"mean ratio over reachable targets: {mean_efficiency_ratio(rows):.3g}")
+    if any(r.reachable for r in rows):
+        print(f"mean ratio over reachable targets: {mean_efficiency_ratio(rows):.3g}")
+    else:
+        print("mean ratio: no reachable target")
 
 
 def _cmd_constellation(args):
     if args.method == "oml_cae" and args.sequences < 2:
         raise SystemExit("omlcae constellation: --method oml_cae needs --sequences"
-                         " >= 2; sequence 1 fine-tunes the untrained init, as cae does")
+                         " >= 2; sequence 1 fine-tunes an untrained init, as cae does")
     # the paper profile with the flags applied, validated as run's cells are
     exp = _parse_config("constellation", None, dict(
         k=args.bits, n_ch=args.channel_uses, snr_db=(args.snr_db,),
@@ -98,11 +106,9 @@ def _cmd_constellation(args):
         n_eval=args.n_show, methods=(args.method,)))
     cfg = exp.run_config(args.snr_db, args.shots)
     model = cfg.build_model()
-    # the last sequence's start, either the meta-initialization or the init
-    stream = (online_starts(cfg, model) if args.method == "oml_cae" else
-              ((i, h, task, model.params)
-               for i, h, task in task_sequence(cfg, model)))
-    (_, h, task, start), = deque(stream, maxlen=1)
+    # the start that run fine-tunes the last sequence from
+    starts = online_starts if args.method == "oml_cae" else scratch_starts
+    (_, h, task, start), = deque(starts(cfg, model), maxlen=1)
     theta = inner_adapt(model, start, task, cfg.meta.finetune_iters,
                         cfg.meta.inner_lr)
     if not np.isfinite(theta).all():
@@ -156,8 +162,8 @@ def main(argv=None):
     _add_run_parser(sub)
 
     p = sub.add_parser("efficiency", help="pilot-efficiency analysis")
-    p.add_argument("--oml", required=True, help="metrics CSV with OML-CAE rows")
-    p.add_argument("--cae", required=True, help="metrics CSV with CAE rows")
+    p.add_argument("--oml", required=True, help="summary CSV with OML-CAE rows")
+    p.add_argument("--cae", required=True, help="summary CSV with CAE rows")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("constellation", help="export a learned constellation")

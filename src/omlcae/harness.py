@@ -80,7 +80,6 @@ class ExperimentConfig:
     warmup: int = 15
     hidden: int = 256
     dtype: str = "float64"
-    joint_store_capacity: int = None
     query_shots: int = None
 
     def validate(self):
@@ -108,14 +107,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown profile {self.profile!r}")
         if self.dtype not in _DTYPES:
             raise ValueError(f"dtype must be one of {sorted(_DTYPES)}")
-        if self.n_eval < 1 or self.n_sequences < 1:
-            raise ValueError("n_eval and n_sequences must be >= 1")
+        if self.n_eval < 1 or self.n_sequences < 1 or self.hidden < 1:
+            raise ValueError("n_eval, n_sequences and hidden must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must be in [0, 1]")
         if self.query_shots is not None and self.query_shots < 1:
             raise ValueError("query_shots must be >= 1 when set")
-        if self.joint_store_capacity is not None and self.joint_store_capacity < 1:
-            raise ValueError("joint_store_capacity must be >= 1 when set")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
         self.meta.validate()
@@ -156,7 +155,7 @@ def _run_cell(cfg: ExperimentConfig, method: str, snr_db: float, shots: int):
         if method == "cae":
             return run_scratch_cae(rc)
         if method == "joint_cae":
-            return run_joint_cae(rc, store_capacity=cfg.joint_store_capacity)
+            return run_joint_cae(rc)
         return run_qpsk_mle(rc)
     except FloatingPointError as e:
         raise FloatingPointError(f"{method}: {e}") from e
@@ -209,26 +208,16 @@ def summarize(records, warmup: int):
     return out
 
 
+SUMMARY_HEADER = "method,snr_db,shots,mean_ser,n_sequences,warmup,seed"
+
+
 def write_summary_csv(path: str, records, warmup: int):
-    lines = ["method,snr_db,shots,mean_ser,n_sequences,warmup,seed"]
+    lines = [SUMMARY_HEADER]
     for method, snr, shots, mean_ser, n, seed in summarize(records, warmup):
         lines.append(f"{method},{snr:g},{shots},{mean_ser:.10g},{n},"
                      f"{warmup},{seed}")
     with open(path, "w", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def read_metrics_csv(path: str):
-    records = []
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "method,snr_db,shots,sequence,ser,seed":
-            raise ValueError(f"unexpected metrics header in {path}: {header!r}")
-        for line in f:
-            m, snr, shots, seq, ser, seed = line.strip().split(",")
-            records.append(MetricsRecord(m, float(snr), int(shots), int(seq),
-                                         float(ser), int(seed)))
-    return records
 
 
 @dataclass

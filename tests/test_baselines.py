@@ -208,18 +208,6 @@ def test_joint_train_bitwise_matches_its_former_sgd_loop(dtype):
     assert np.array_equal(theta, model.params)  # the input is never written
 
 
-def test_run_joint_cae_store_capacity():
-    # a store at least as large as the run keeps every task, like no bound;
-    # a one-task store trains on the current task only
-    meta = MetaConfig(outer_iters=40, finetune_iters=5)
-    cfg = RunConfig(k=2, n_ch=1, snr_db=5.0, shots=1, n_sequences=4,
-                    n_eval=400, seed=3, meta=meta, hidden=8)
-    unbounded = repr(run_joint_cae(cfg))
-    assert repr(run_joint_cae(cfg, store_capacity=4)) == unbounded
-    assert repr(run_joint_cae(cfg, store_capacity=10)) == unbounded
-    assert repr(run_joint_cae(cfg, store_capacity=1)) != unbounded
-
-
 def test_joint_spends_the_meta_budget_and_oml_the_chunks_that_reach_a_row(
         monkeypatch):
     # over one run, the joint CAE's SGD iterations sum to outer_iters, split

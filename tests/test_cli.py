@@ -1,12 +1,11 @@
 """Smoke tests for the command-line interface."""
 
 import json
-import os
 
 import numpy as np
 import pytest
 
-from omlcae import cli, metalearn
+from omlcae import baselines, cli, metalearn
 from omlcae.channel import NoiseModel
 from omlcae.cli import main
 from omlcae.harness import export_constellation, parse_config
@@ -29,20 +28,34 @@ def test_run_tiny_grid_and_determinism(tmp_path, capsys):
 
 def test_run_rejects_an_invalid_config_without_a_traceback(tmp_path):
     # 10 ** 400 overflows a float: the message names the entry, and no
-    # output directory is made
+    # output directory is made; a negative seed and a zero width fail in
+    # the config checks, not in numpy's seeding or the network's layout
     out = tmp_path / "out"
     with pytest.raises(SystemExit, match="omlcae run: snr_db entry -4000.0 "):
         main(["run", "--snr-db=-4000", "--out", str(out)])
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[experiment]\nhidden = 0\n")
+    for args, message in ((["--seed=-1"], "seed must be >= 0, got -1$"),
+                          (["--config", str(cfg)], "n_eval, n_sequences and "
+                                                   "hidden must be >= 1$")):
+        with pytest.raises(SystemExit, match=f"^omlcae run: {message}"):
+            main(["run", *args, "--out", str(out)])
     assert not out.exists()
+
+
+def _write_summary(path, cells):
+    # summary.csv rows: (method, snr, shots, post-warm-up mean SER)
+    path.write_text("method,snr_db,shots,mean_ser,n_sequences,warmup,seed\n"
+                    + "".join(f"{m},{snr},{shots},{ser},5,15,0\n"
+                              for m, snr, shots, ser in cells))
 
 
 def test_efficiency_command(tmp_path, capsys):
     oml = tmp_path / "oml.csv"
     cae = tmp_path / "cae.csv"
-    header = "method,snr_db,shots,sequence,ser,seed\n"
-    oml.write_text(header + "oml_cae,5,1,1,0.2,0\n")
-    cae.write_text(header + "cae,5,1,1,0.4,0\ncae,5,2,1,0.2,0\n"
-                   "cae,5,3,1,0.1,0\n")
+    _write_summary(oml, [("oml_cae", 5, 1, 0.2)])
+    _write_summary(cae, [("cae", 5, 1, 0.4), ("cae", 5, 2, 0.2),
+                         ("cae", 5, 3, 0.1)])
     out = tmp_path / "eff.csv"
     assert main(["efficiency", "--oml", str(oml), "--cae", str(cae),
                  "--out", str(out)]) == 0
@@ -50,40 +63,68 @@ def test_efficiency_command(tmp_path, capsys):
     assert lines[0] == "target_ser,oml_shots,cae_equivalent_shots,ratio,reachable"
     assert lines[1].startswith("0.2,1,2,")
     assert "mean ratio" in capsys.readouterr().out
+    # an OML-CAE SER below the CAE's best has no ratio, and no traceback
+    _write_summary(oml, [("oml_cae", 5, 1, 0.05)])
+    assert main(["efficiency", "--oml", str(oml), "--cae", str(cae),
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "0.05,1,nan,nan,false"
+    assert "no reachable target" in capsys.readouterr().out
 
 
-def _write_rows(path, rows):
-    path.write_text("method,snr_db,shots,sequence,ser,seed\n" + "".join(
-        f"{m},{snr},{shots},{seq},{ser},0\n" for m, snr, shots, seq, ser in rows))
-
-
-def _warmup_rows(method, snr, shots, late_ser):
-    # SER 1.0 through the default 15-sequence warm-up, late_ser after it
-    return [(method, snr, shots, seq, 1.0 if seq <= 15 else late_ser)
-            for seq in range(1, 21)]
-
-
-def test_efficiency_uses_post_warmup_cell_means(tmp_path, capsys):
+def test_efficiency_uses_post_warmup_cell_means(tmp_path):
     # the curves are summary.csv's post-warm-up means: OML 0.05 at 1 shot,
     # CAE 0.1 and 0.025 at 1 and 2 shots, so the CAE needs 1.5 shots
-    # (midway in log SER); means over all rows would give 0.76 and 0.78
+    # (midway in log SER)
     oml, cae, out = tmp_path / "oml.csv", tmp_path / "cae.csv", tmp_path / "e"
-    _write_rows(oml, _warmup_rows("oml_cae", 5, 1, 0.05))
-    _write_rows(cae, _warmup_rows("cae", 5, 1, 0.1)
-                + _warmup_rows("cae", 5, 2, 0.025))
+    _write_summary(oml, [("oml_cae", 5, 1, 0.05)])
+    _write_summary(cae, [("cae", 5, 1, 0.1), ("cae", 5, 2, 0.025)])
     assert main(["efficiency", "--oml", str(oml), "--cae", str(cae),
                  "--out", str(out)]) == 0
     assert out.read_text().splitlines()[1] == "0.05,1,1.5,1.5,true"
     # a second SNR in one CSV is rejected, not averaged in
-    _write_rows(cae, _warmup_rows("cae", 5, 1, 0.1)
-                + _warmup_rows("cae", 20, 1, 0.0))
+    _write_summary(cae, [("cae", 5, 1, 0.1), ("cae", 20, 1, 0.0)])
     with pytest.raises(SystemExit, match="2 SNRs .5, 20 dB."):
+        main(["efficiency", "--oml", str(oml), "--cae", str(cae),
+              "--out", str(out)])
+    # so is a metrics.csv, whose rows are per sequence, not per cell
+    cae.write_text("method,snr_db,shots,sequence,ser,seed\ncae,5,1,1,0.1,0\n")
+    with pytest.raises(SystemExit, match="is not a summary.csv"):
         main(["efficiency", "--oml", str(oml), "--cae", str(cae),
               "--out", str(out)])
 
 
+def test_efficiency_follows_the_runs_warmup(tmp_path):
+    # a warmup = 5 run summarizes sequences 6-8; the default warm-up of 15
+    # would keep all 8, and the efficiency targets are the run's own means
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[experiment]\nk = 2\nn_ch = 1\nsnr_db = 5\nshots = 1,2\n"
+                   "n_sequences = 8\nwarmup = 5\nn_eval = 100\nhidden = 8\n"
+                   "methods = oml_cae,cae\n"
+                   "[meta]\nouter_iters = 8\nfinetune_iters = 5\n")
+    run, out = tmp_path / "run", tmp_path / "eff.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(run)]) == 0
+    oml = {}  # shots -> [(sequence, ser)] of the OML-CAE rows
+    for method, _, shots, seq, ser, _ in (
+            line.split(",") for line in
+            (run / "metrics.csv").read_text().splitlines()[1:]):
+        if method == "oml_cae":
+            oml.setdefault(int(shots), []).append((int(seq), float(ser)))
+
+    def means(first):  # the OML-CAE curve over sequences >= first
+        return [f"{np.mean([s for i, s in oml[shots] if i >= first]):.10g}"
+                for shots in (1, 2)]
+
+    assert means(6) != means(1)
+    summary = str(run / "summary.csv")
+    assert main(["efficiency", "--oml", summary, "--cae", summary,
+                 "--out", str(out)]) == 0
+    assert [line.split(",")[0] for line in
+            out.read_text().splitlines()[1:]] == means(6)
+
+
 def test_constellation_oml_needs_two_sequences(tmp_path):
-    # at one sequence the OML-CAE export is the scratch CAE's, byte for byte
+    # at one sequence OML-CAE would fine-tune the untrained init, so its
+    # export would show no meta-learning
     args = ["constellation", "--bits", "2", "--channel-uses", "1", "--iters",
             "5", "--meta-iters", "2", "--n-show", "4", "--method", "oml_cae"]
     with pytest.raises(SystemExit, match="--sequences >= 2"):
@@ -96,7 +137,8 @@ def test_constellation_oml_needs_two_sequences(tmp_path):
 @pytest.mark.parametrize("flag, message", [
     ("--snr-db=-4000", "snr_db entry -4000.0 "),
     ("--shots=0", "shots entries must be >= 1"),
-    ("--snr-db=nan", "snr_db entry nan ")])
+    ("--snr-db=nan", "snr_db entry nan "),
+    ("--seed=-1", "seed must be >= 0")])
 def test_constellation_rejects_an_invalid_config_before_training(
         tmp_path, monkeypatch, flag, message):
     # the flags go through run's config checks: one line naming the field,
@@ -104,7 +146,8 @@ def test_constellation_rejects_an_invalid_config_before_training(
     def train(*args, **kwargs):
         raise AssertionError("trained on an invalid config")
 
-    monkeypatch.setattr(cli, "task_sequence", train)
+    monkeypatch.setattr(cli, "scratch_starts", train)
+    monkeypatch.setattr(cli, "online_starts", train)
     out = tmp_path / "c.json"
     with pytest.raises(SystemExit) as exc:
         main(["constellation", flag, "--out", str(out)])
@@ -112,6 +155,40 @@ def test_constellation_rejects_an_invalid_config_before_training(
     assert text.startswith(f"omlcae constellation: {message}"), text
     assert "\n" not in text and exc.value.__suppress_context__
     assert not out.exists()
+
+
+def _export(path, cfg, model, theta):
+    # the last sequence's export of theta, as omlcae constellation writes it
+    *_, (_, h) = metalearn.channel_sequence(cfg)
+    export_constellation(model, h, NoiseModel(cfg.sigma2), cfg.snr_db,
+                         cfg.n_eval, cfg.cell_substream("export"), str(path),
+                         theta=theta)
+    return path
+
+
+def test_constellation_cae_exports_the_scratch_runs_last_theta(
+        tmp_path, monkeypatch):
+    # the export fine-tunes the last sequence from the scratch CAE's own
+    # start, so it writes the bytes of run_scratch_cae's last fine-tuned theta
+    cfg = parse_config(None, dict(
+        k=2, n_ch=1, snr_db=(5.0,), shots=(1,), n_sequences=3, seed=0,
+        finetune_iters=5, n_eval=16, methods=("cae",))).run_config(5.0, 1)
+    model = cfg.build_model()
+    scored, sequence_ser = [], metalearn.sequence_ser
+
+    def kept_ser(model, cfg, i, h, theta):
+        scored.append(theta)
+        return sequence_ser(model, cfg, i, h, theta)
+
+    monkeypatch.setattr(metalearn, "sequence_ser", kept_ser)
+    assert len(baselines.run_scratch_cae(cfg, model)) == len(scored) == 3
+    want = _export(tmp_path / "want.json", cfg, model, scored[-1])
+    out = tmp_path / "c.json"
+    assert main(["constellation", "--method", "cae", "--bits", "2",
+                 "--channel-uses", "1", "--shots", "1", "--sequences", "3",
+                 "--iters", "5", "--n-show", "16", "--out", str(out)]) == 0
+    assert len(scored) == 3  # the export scores no sequence
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_constellation_oml_fine_tunes_only_the_exported_sequence(
@@ -125,11 +202,7 @@ def test_constellation_oml_fine_tunes_only_the_exported_sequence(
     model = cfg.build_model()
     theta = metalearn.online_run(cfg, model=model, row=lambda i, _, th: th
                                  if i == cfg.n_sequences else None)[-1]
-    *_, (_, h) = metalearn.channel_sequence(cfg)
-    want = tmp_path / "want.json"
-    export_constellation(model, h, NoiseModel(cfg.sigma2), cfg.snr_db,
-                         cfg.n_eval, cfg.cell_substream("export"), str(want),
-                         theta=theta)
+    want = _export(tmp_path / "want.json", cfg, model, theta)
 
     calls = {"sequence_ser": 0, "fine-tuned": 0}
     adapt = metalearn.inner_adapt

@@ -9,20 +9,23 @@ It prints one ``name sha256`` line per output, in a fixed order:
                     methods (metrics.csv, summary.csv), and ``omlcae
                     constellation`` for the scratch CAE and, over 3 sequences,
                     for OML-CAE
-  desk-<s>shot/*    online_run SERs and fine-tuned theta hashes, scratch-CAE,
-                    joint-CAE (store unbounded and 3) and QPSK+MLE rows with
-                    theta hashes, desk profile, 11 sequences
-  paper-1shot/*     the same at the paper profile, 2 sequences (a store of 3
-                    would hold them all, so the joint CAE runs once)
+  desk-<s>shot/*    OML-CAE, scratch-CAE and joint-CAE rows, each with the
+                    hashes of its fine-tuned thetas, and QPSK+MLE rows, desk
+                    profile, 11 sequences
+  paper-1shot/*     the same at the paper profile, 2 sequences
   desk-f32-<rule>/* float32 desk online_run under both outer rules, and the
                     scratch and joint CAE, 11 sequences
 
-Each cell keeps its profile's per-sequence meta budget.  Two runs of one
-checkout must print the same lines, and so must a run pinned to one CPU
-(``taskset -c 0 python3 tools/fingerprint.py``), where the paper-width
-fine-tunes run inline instead of on a thread pool.  A change that keeps every
-output byte-identical prints the same lines as its parent.  BLAS runs on one
-thread.
+33 lines in all.  A CAE cell fine-tunes and scores its method's start stream
+(``metalearn.online_starts``, ``baselines.scratch_starts`` or
+``baselines.joint_starts``) in ``metalearn.fine_tune_blocks``, as
+``online_run``, ``run_scratch_cae`` and ``run_joint_cae`` do, with a row that
+also hashes the fine-tuned theta.  Each cell keeps its profile's per-sequence
+meta budget.  Two runs of one checkout must print the same lines, and so must
+a run pinned to one CPU (``taskset -c 0 python3 tools/fingerprint.py``),
+where the paper-width fine-tunes run inline instead of on a thread pool.  A
+change that keeps every output byte-identical prints the same lines as its
+parent.  BLAS runs on one thread.
 """
 
 import os
@@ -77,33 +80,6 @@ def cli_outputs(tmp):
             yield f"cli/constellation-{method}.json", digest(f.read())
 
 
-class ThetaLog:
-    """Records the hash of every theta that sequence_ser scores, by wrapping
-    the name in each omlcae module that holds it."""
-
-    def __init__(self):
-        self.hashes = []
-        self._restore = []
-
-    def __enter__(self):
-        original = metalearn.sequence_ser
-
-        def logged(model, cfg, i, h, theta):
-            self.hashes.append((i, metalearn.theta_hash(theta)))
-            return original(model, cfg, i, h, theta)
-
-        for mod in (m for k, m in sorted(sys.modules.items())
-                    if k == "omlcae" or k.startswith("omlcae.")):
-            if getattr(mod, "sequence_ser", None) is original:
-                self._restore.append((mod, original))
-                mod.sequence_ser = logged
-        return self
-
-    def __exit__(self, *exc):
-        for mod, original in self._restore:
-            mod.sequence_ser = original
-
-
 def cell_config(profile, shots, sequences, **kw):
     cfg = harness.apply_profile(harness.ExperimentConfig(
         k=4, n_ch=2, snr_db=(5.0,), shots=(shots,), seed=0, profile=profile,
@@ -116,29 +92,25 @@ def cell_config(profile, shots, sequences, **kw):
     return cfg.run_config(5.0, shots)
 
 
-def run_rows(name, run):
-    with ThetaLog() as log:
-        rows = run()
-    yield f"{name}/rows", digest(repr(rows))
-    if log.hashes:
-        yield f"{name}/theta", digest(repr(log.hashes))
+STARTS = {"oml_cae": metalearn.online_starts,
+          "cae": baselines.scratch_starts,
+          "joint_cae": baselines.joint_starts}
 
 
-RUNNERS = {
-    "oml_cae": lambda rc: [(r.sequence, r.ser_after_adapt,
-                            r.theta_snapshot_hash)
-                           for r in metalearn.online_run(rc)],
-    "cae": lambda rc: baselines.run_scratch_cae(rc),
-    "joint_cae": lambda rc: baselines.run_joint_cae(rc),
-    "joint_cae-store3": lambda rc: baselines.run_joint_cae(rc,
-                                                           store_capacity=3),
-    "qpsk_mle": lambda rc: baselines.run_qpsk_mle(rc),
-}
-
-
-def cell_outputs(prefix, rc, methods=tuple(RUNNERS)):
+def cell_outputs(prefix, rc, methods=(*STARTS, "qpsk_mle")):
     for method in methods:
-        yield from run_rows(f"{prefix}/{method}", lambda: RUNNERS[method](rc))
+        name = f"{prefix}/{method}"
+        if method == "qpsk_mle":
+            yield f"{name}/rows", digest(repr(baselines.run_qpsk_mle(rc)))
+            continue
+        model = rc.build_model()
+        rows = metalearn.fine_tune_blocks(
+            model, rc, STARTS[method](rc, model),
+            lambda i, ser, theta: (i, ser, metalearn.theta_hash(theta)))
+        # online_run's default rows carry the theta hash, the baselines' not
+        yield f"{name}/rows", digest(repr(
+            rows if method == "oml_cae" else [r[:2] for r in rows]))
+        yield f"{name}/theta", digest(repr([(i, h) for i, _, h in rows]))
 
 
 def fingerprints():
@@ -147,13 +119,11 @@ def fingerprints():
     for shots in (1, 5):
         yield from cell_outputs(f"desk-{shots}shot",
                                 cell_config("desk", shots, 11))
-    yield from cell_outputs("paper-1shot", cell_config("paper", 1, 2),
-                            [m for m in RUNNERS if m != "joint_cae-store3"])
+    yield from cell_outputs("paper-1shot", cell_config("paper", 1, 2))
     for rule in metalearn.OUTER_RULES:
         rc = cell_config("desk", 1, 11, dtype="float32")
         rc = replace(rc, meta=replace(rc.meta, outer_rule=rule))
-        methods = ("oml_cae", "cae", "joint_cae") if rule == "reptile" \
-            else ("oml_cae",)
+        methods = STARTS if rule == "reptile" else ("oml_cae",)
         yield from cell_outputs(f"desk-f32-{rule}", rc, methods)
 
 
