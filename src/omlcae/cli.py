@@ -62,8 +62,16 @@ def _cmd_run(args):
               f"mean SER {mean_ser:.4g} over {n} sequences")
 
 
-def _efficiency_curve(path, method_prefix):
-    """(shots, mean SER) of the method's cells in a run's summary.csv."""
+def _require(command, checks):
+    """Exit with one line naming the first failed (ok, message) flag check."""
+    for ok, message in checks:
+        if not ok:
+            raise SystemExit(f"omlcae {command}: {message}")
+
+
+def _efficiency_curve(path, method_prefix, least):
+    """(shots, mean SER) of the method's cells in a run's summary.csv; exits
+    when there are fewer than least."""
     with open(path) as f:
         if (header := f.readline().strip()) != SUMMARY_HEADER:
             raise SystemExit(f"omlcae efficiency: {path} is not a summary.csv"
@@ -73,13 +81,16 @@ def _efficiency_curve(path, method_prefix):
     if len(snrs) > 1:
         raise SystemExit(f"omlcae efficiency: {path} holds {len(snrs)} SNRs ("
                          f"{', '.join(map('{:g}'.format, snrs))} dB); pass one per CSV")
-    return sorted((int(shots), float(ser)) for method, _, shots, ser, *_ in cells
-                  if method.startswith(method_prefix))
+    curve = sorted((int(shots), float(ser)) for method, _, shots, ser, *_ in cells
+                   if method.startswith(method_prefix))
+    _require("efficiency", [(len(curve) >= least, f"{path}: {len(curve)} "
+                             f"{method_prefix}* shot counts, need at least {least}")])
+    return curve
 
 
 def _cmd_efficiency(args):
-    oml = _efficiency_curve(args.oml, "oml")
-    cae = _efficiency_curve(args.cae, "cae")
+    oml = _efficiency_curve(args.oml, "oml", 1)
+    cae = _efficiency_curve(args.cae, "cae", 2)  # to interpolate between
     rows = efficiency_analysis(oml, cae)
     lines = ["target_ser,oml_shots,cae_equivalent_shots,ratio,reachable"]
     for r in rows:
@@ -121,7 +132,11 @@ def _cmd_constellation(args):
 
 
 def _cmd_gradcheck(args):
-    worst = 0.0
+    _require("gradcheck", [
+        (0 < args.eps < np.inf, f"--eps must be finite and > 0, got {args.eps}"),
+        (args.hidden >= 1, f"--hidden must be >= 1, got {args.hidden}"),
+        (args.seed >= 0, f"--seed must be >= 0, got {args.seed}")])
+    rels = []
     rng = rngmod.substream(args.seed, "gradcheck")
     for k in (1, 2):
         for n_ch in (1, 2):
@@ -134,15 +149,21 @@ def _cmd_gradcheck(args):
                                           theta=th)[0],
                 model.params, eps=args.eps)
             # normwise: per entry, rounding and leaky-ReLU kinks skew the ratio
-            rel = np.max(np.abs(grads - fd)) / np.max(np.abs(grads))
-            worst = max(worst, rel)
-            print(f"k={k} n_ch={n_ch}: normwise error {rel:.3e}")
+            rels.append(np.max(np.abs(grads - fd)) / np.max(np.abs(grads)))
+            print(f"k={k} n_ch={n_ch}: normwise error {rels[-1]:.3e}")
+    worst = np.max(rels)  # a NaN error is the worst and fails
     ok = worst < 1e-4
     print(f"gradcheck {'PASS' if ok else 'FAIL'} (worst {worst:.3e})")
     return 0 if ok else 1
 
 
 def _cmd_channel_stats(args):
+    _require("channel-stats", [
+        (args.steps >= 2, f"--steps must be >= 2 for a lag-1 correlation, "
+                          f"got {args.steps}"),
+        (0 <= args.rho <= 1, f"--rho must be in [0, 1], got {args.rho}"),
+        (args.n >= 1, f"--n must be >= 1, got {args.n}"),
+        (args.seed >= 0, f"--seed must be >= 0, got {args.seed}")])
     rng = rngmod.substream(args.seed, "channel-stats")
     proc = FadingProcess(args.rho, args.n, rng)
     hs = np.stack([proc.step() for _ in range(args.steps)])

@@ -4,9 +4,11 @@ protocol.
 One task = one channel realization's pilot data (balanced support and query
 sets).  Every SGD loop -- the deployment fine-tune, the scratch and joint CAE
 fine-tunes, the meta step's support adaptation, and the joint CAE's training
-on mixed batches -- runs through run_sgd.  Meta-training adapts each sampled
-task on its support set, then updates the meta-initialization theta with Adam
-on one of two first-order meta-gradients, chosen by MetaConfig.outer_rule:
+on mixed batches -- runs through run_sgd.  meta_train is outer_meta_step in a
+loop over task samples from the buffer; each step stacks its sample's pilots,
+adapts each task on its support set, then updates the meta-initialization
+theta with Adam on one of two first-order meta-gradients, chosen by
+MetaConfig.outer_rule:
 
     "fomaml"   first-order MAML: the query-set gradient at the task-adapted
                parameters phi_T, second-order terms dropped
@@ -175,20 +177,23 @@ def inner_adapt(model: CaeModel, theta: np.ndarray, task, steps: int,
     return run_sgd(model, theta.copy(), repeat(batch, steps), alpha)
 
 
-def _outer_step_stacked(model: CaeModel, theta: np.ndarray, support,
-                        query, config: MetaConfig,
-                        adam_state: AdamState, lr: float, buffers: dict):
-    """One meta-update from pre-stacked task batches.
+def outer_meta_step(model: CaeModel, theta: np.ndarray, tasks, config: MetaConfig,
+                    adam_state: AdamState, lr: float, buffers: dict = None):
+    """One meta-update from a list of tasks.
 
-    support and query are pilot_batch tuples as produced by _stack_tasks;
-    query is read only under "fomaml".
-    Adapt theta per task on the support set (adapt_steps SGD steps at
-    inner_lr) to phi_T, then Adam-update theta on the meta-gradient that
-    config.outer_rule selects: the mean query-set gradient at phi_T
-    ("fomaml"), or theta - mean_T phi_T ("reptile", no query pass).
-    buffers is a dict of reusable arrays (hot-loop allocation reuse;
-    contents are overwritten).
+    Stacks the tasks' support sets, and their query sets under "fomaml",
+    with _stack_tasks, then adapts theta per task on the support set
+    (adapt_steps SGD steps at inner_lr) to phi_T and Adam-updates theta at
+    the scheduler-provided lr on the meta-gradient that config.outer_rule
+    selects: the mean query-set gradient at phi_T ("fomaml"), or
+    theta - mean_T phi_T ("reptile", no query pass).  buffers is a dict of
+    reusable arrays (hot-loop allocation reuse; contents are overwritten);
+    its "theta_out", when set, receives the new theta.
     """
+    if not tasks:
+        raise ValueError("outer_meta_step needs at least one task")
+    buffers = {} if buffers is None else buffers
+    support = _stack_tasks(model, tasks, "support", theta.dtype)
     adapted = run_sgd(model, theta, repeat(support, config.adapt_steps),
                       config.inner_lr, buffers)
     if config.outer_rule == "reptile":
@@ -196,40 +201,21 @@ def _outer_step_stacked(model: CaeModel, theta: np.ndarray, support,
         phi_mean = adapted.mean(axis=0) if adapted.ndim > 1 else adapted
         meta_grad = np.subtract(theta, phi_mean, out=buffers.get("meta"))
     else:
-        qry_onehot, qry_noise, qry_h, qry_rep = query
-        _, meta_grad = pipeline_loss_grads(model, adapted, qry_onehot,
-                                           qry_noise, qry_h, want_loss=False,
-                                           repeats=qry_rep, mean_grads=True,
+        onehot, noise, h, rep = _stack_tasks(model, tasks, "query", theta.dtype)
+        _, meta_grad = pipeline_loss_grads(model, adapted, onehot, noise, h,
+                                           want_loss=False, repeats=rep,
+                                           mean_grads=True,
                                            grads_out=buffers.get("meta"))
     buffers["meta"] = meta_grad
     theta_out = buffers.pop("theta_out", None)
     return adam_step_inplace(adam_state, theta, meta_grad, lr, out=theta_out)
 
 
-def outer_meta_step(model: CaeModel, theta: np.ndarray, tasks, config: MetaConfig,
-                    adam_state: AdamState, lr: float):
-    """One meta-update from a batch of tasks.
-
-    Per task: adapt theta on the support set (adapt_steps SGD steps at
-    inner_lr) to phi_T.  Under config.outer_rule "fomaml" the meta-gradient
-    is the mean query-set gradient at phi_T; under "reptile" it is
-    theta - mean_T phi_T.  theta is updated with Adam at the
-    scheduler-provided lr.
-    """
-    if not tasks:
-        raise ValueError("outer_meta_step needs at least one task")
-    dtype = theta.dtype
-    support = _stack_tasks(model, tasks, "support", dtype)
-    query = (_stack_tasks(model, tasks, "query", dtype)
-             if config.outer_rule == "fomaml" else None)
-    return _outer_step_stacked(model, theta, support, query,
-                               config, adam_state, lr, {})
-
-
 def meta_train(model: CaeModel, theta: np.ndarray, buffer: TaskBuffer,
                config: MetaConfig, rng: np.random.Generator,
                iter_offset: int = 0, adam: AdamState = None) -> np.ndarray:
-    """Run config.outer_iters meta-updates over tasks sampled from the buffer.
+    """Run config.outer_iters outer_meta_steps over tasks sampled from the
+    buffer, each stacking its own sample.
 
     Tasks are sampled uniformly, without replacement when the buffer holds at
     least tasks_per_update tasks, with replacement otherwise.  Adam state and
@@ -243,29 +229,17 @@ def meta_train(model: CaeModel, theta: np.ndarray, buffer: TaskBuffer,
     k = config.tasks_per_update
     if adam is None:
         adam = AdamState.fresh(theta.shape[-1], dtype=theta.dtype)
-    # the buffer is fixed for the whole call, so stack every task once and
-    # index the stacks per iteration instead of restacking; Reptile never
-    # reads the query sets
-    sup_onehot, sup_noise, sup_h, sup_rep = _stack_tasks(model, buffer,
-                                                         "support", theta.dtype)
-    fomaml = config.outer_rule == "fomaml"
-    if fomaml:
-        qry_onehot, qry_noise, qry_h, qry_rep = _stack_tasks(
-            model, buffer, "query", theta.dtype)
     buffers = {}
     # two output arrays in turn, so the updated theta never aliases the
     # current one; the caller's array is never written to
     outs = (np.empty_like(theta), np.empty_like(theta))
     for it in range(config.outer_iters):
         idx = rng.choice(n, size=k, replace=n < k)
-        support = (sup_onehot, sup_noise[idx], sup_h[idx], sup_rep)
-        query = ((qry_onehot, qry_noise[idx], qry_h[idx], qry_rep)
-                 if fomaml else None)
         lr = step_lr(config.outer_lr, iter_offset + it,
                      config.lr_step_size, config.lr_gamma)
         buffers["theta_out"] = outs[it % 2]
-        adam, theta = _outer_step_stacked(model, theta, support, query,
-                                          config, adam, lr, buffers=buffers)
+        adam, theta = outer_meta_step(model, theta, [buffer[i] for i in idx],
+                                      config, adam, lr, buffers)
     return theta
 
 

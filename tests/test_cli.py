@@ -93,6 +93,24 @@ def test_efficiency_uses_post_warmup_cell_means(tmp_path):
               "--out", str(out)])
 
 
+@pytest.mark.parametrize("oml_cells, cae_cells, message", [
+    # one CAE shot count, as a run with one shots entry gives: no curve
+    ([("oml_cae", 5, 1, 0.2)], [("cae", 5, 1, 0.3)],
+     r"cae\.csv: 1 cae\* shot counts, need at least 2$"),
+    # no OML-CAE cells: no targets, so no CSV, not a header-only one
+    ([("cae", 5, 1, 0.3)], [("cae", 5, 1, 0.3), ("cae", 5, 2, 0.1)],
+     r"oml\.csv: 0 oml\* shot counts, need at least 1$")])
+def test_efficiency_rejects_too_few_cells(tmp_path, oml_cells, cae_cells,
+                                          message):
+    oml, cae, out = tmp_path / "oml.csv", tmp_path / "cae.csv", tmp_path / "e"
+    _write_summary(oml, oml_cells)
+    _write_summary(cae, cae_cells)
+    with pytest.raises(SystemExit, match=f"^omlcae efficiency: .*{message}"):
+        main(["efficiency", "--oml", str(oml), "--cae", str(cae),
+              "--out", str(out)])
+    assert not out.exists()
+
+
 def test_efficiency_follows_the_runs_warmup(tmp_path):
     # a warmup = 5 run summarizes sequences 6-8; the default warm-up of 15
     # would keep all 8, and the efficiency targets are the run's own means
@@ -271,6 +289,36 @@ def test_gradcheck_passes_at_defaults_and_fails_on_a_wrong_entry(
     monkeypatch.setattr(cli, "loss_and_grads", shifted)
     assert main(["gradcheck"]) == 1
     assert "gradcheck FAIL" in capsys.readouterr().out
+
+    def nan_grads(*args, **kwargs):
+        # a NaN error compares false against the bound, yet is the worst
+        loss, grads = loss_and_grads(*args, **kwargs)
+        return loss, np.full_like(grads, np.nan)
+
+    monkeypatch.setattr(cli, "loss_and_grads", nan_grads)
+    assert main(["gradcheck"]) == 1
+    assert "gradcheck FAIL (worst nan)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args, message", [
+    (["channel-stats", "--steps", "1"], "--steps must be >= 2 for a lag-1 "
+                                        "correlation, got 1"),
+    (["channel-stats", "--steps", "0"], "--steps must be >= 2"),
+    (["channel-stats", "--rho", "2"], "--rho must be in [0, 1], got 2.0"),
+    (["channel-stats", "--rho", "nan"], "--rho must be in [0, 1], got nan"),
+    (["channel-stats", "--n", "0"], "--n must be >= 1, got 0"),
+    (["channel-stats", "--seed=-1"], "--seed must be >= 0, got -1"),
+    (["gradcheck", "--eps", "0"], "--eps must be finite and > 0, got 0.0"),
+    (["gradcheck", "--eps", "nan"], "--eps must be finite and > 0, got nan"),
+    (["gradcheck", "--hidden", "0"], "--hidden must be >= 1, got 0"),
+    (["gradcheck", "--seed=-1"], "--seed must be >= 0, got -1")])
+def test_stats_and_gradcheck_reject_invalid_flags(args, message):
+    # one line naming the flag, as run and constellation give, not a
+    # traceback or a NaN report
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert str(exc.value).startswith(f"omlcae {args[0]}: {message}")
+    assert "\n" not in str(exc.value)
 
 
 def test_unknown_command_rejected():

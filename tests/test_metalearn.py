@@ -1,7 +1,7 @@
 """Unit tests for MAML loops, the task buffer, and the online protocol."""
 
 from dataclasses import replace
-from itertools import repeat
+from itertools import product, repeat
 
 import numpy as np
 import pytest
@@ -212,8 +212,10 @@ def test_meta_train_matches_naive_loop_bitwise():
     for s in range(4):
         buffer_push(buf, make_task(model, s, shots=2))
     theta0 = model.params.copy()
-    for rule in OUTER_RULES:
-        config = MetaConfig(outer_iters=25, tasks_per_update=3,
+    # 6 tasks per update from a 4-task buffer samples with replacement, as
+    # every online run does while its buffer is short
+    for rule, k in product(OUTER_RULES, (3, 6)):
+        config = MetaConfig(outer_iters=25, tasks_per_update=k,
                             outer_rule=rule)
         got = meta_train(model, model.params, buf, config,
                          rngmod.substream(9, "sample"))
@@ -230,7 +232,7 @@ def test_meta_train_matches_naive_loop_bitwise():
                          config.lr_gamma)
             adam, theta = outer_meta_step(model, theta, [buf[i] for i in idx],
                                           config, adam, lr)
-        assert np.array_equal(got, theta), rule
+        assert np.array_equal(got, theta), (rule, k)
 
 
 def test_meta_train_edge_cases():
