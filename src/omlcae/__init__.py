@@ -1,5 +1,10 @@
 """Online meta-learning channel autoencoder simulator and library."""
 
+import os
+
+# one BLAS thread unless set: fine_tune_blocks runs a thread per CPU
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # read when numpy loads, just below
 from .cae import CaeModel, decode, encode, evaluate_ser
 from .channel import FadingProcess, NoiseModel, rayleigh_sample, snr_to_sigma2
 from .harness import (ExperimentConfig, MetricsRecord, efficiency_analysis,

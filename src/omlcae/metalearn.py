@@ -186,29 +186,25 @@ def outer_meta_step(model: CaeModel, theta: np.ndarray, tasks, config: MetaConfi
     (adapt_steps SGD steps at inner_lr) to phi_T and Adam-updates theta at
     the scheduler-provided lr on the meta-gradient that config.outer_rule
     selects: the mean query-set gradient at phi_T ("fomaml"), or
-    theta - mean_T phi_T ("reptile", no query pass).  buffers is a dict of
-    reusable arrays (hot-loop allocation reuse; contents are overwritten);
-    its "theta_out", when set, receives the new theta.
+    theta - mean_T phi_T ("reptile", no query pass).  buffers carries
+    run_sgd's rotating gradient arrays across calls.  Returns (adam_state,
+    new theta), a new array; theta is never written.
     """
     if not tasks:
         raise ValueError("outer_meta_step needs at least one task")
-    buffers = {} if buffers is None else buffers
     support = _stack_tasks(model, tasks, "support", theta.dtype)
     adapted = run_sgd(model, theta, repeat(support, config.adapt_steps),
                       config.inner_lr, buffers)
     if config.outer_rule == "reptile":
         # theta - mean_T phi_T; adapted is theta itself when nothing adapted
         phi_mean = adapted.mean(axis=0) if adapted.ndim > 1 else adapted
-        meta_grad = np.subtract(theta, phi_mean, out=buffers.get("meta"))
+        meta_grad = theta - phi_mean
     else:
         onehot, noise, h, rep = _stack_tasks(model, tasks, "query", theta.dtype)
         _, meta_grad = pipeline_loss_grads(model, adapted, onehot, noise, h,
                                            want_loss=False, repeats=rep,
-                                           mean_grads=True,
-                                           grads_out=buffers.get("meta"))
-    buffers["meta"] = meta_grad
-    theta_out = buffers.pop("theta_out", None)
-    return adam_step_inplace(adam_state, theta, meta_grad, lr, out=theta_out)
+                                           mean_grads=True)
+    return adam_step_inplace(adam_state, theta, meta_grad, lr)
 
 
 def meta_train(model: CaeModel, theta: np.ndarray, buffer: TaskBuffer,
@@ -221,7 +217,7 @@ def meta_train(model: CaeModel, theta: np.ndarray, buffer: TaskBuffer,
     least tasks_per_update tasks, with replacement otherwise.  Adam state and
     the step-decay schedule start fresh by default; callers that split one
     meta-training budget across calls pass iter_offset (schedule continuation)
-    and their own adam state (updated in place).
+    and their own adam state (updated in place).  theta is never written.
     """
     if len(buffer) == 0:
         raise ValueError("meta_train requires a nonempty buffer")
@@ -230,14 +226,10 @@ def meta_train(model: CaeModel, theta: np.ndarray, buffer: TaskBuffer,
     if adam is None:
         adam = AdamState.fresh(theta.shape[-1], dtype=theta.dtype)
     buffers = {}
-    # two output arrays in turn, so the updated theta never aliases the
-    # current one; the caller's array is never written to
-    outs = (np.empty_like(theta), np.empty_like(theta))
     for it in range(config.outer_iters):
         idx = rng.choice(n, size=k, replace=n < k)
         lr = step_lr(config.outer_lr, iter_offset + it,
                      config.lr_step_size, config.lr_gamma)
-        buffers["theta_out"] = outs[it % 2]
         adam, theta = outer_meta_step(model, theta, [buffer[i] for i in idx],
                                       config, adam, lr, buffers)
     return theta

@@ -274,13 +274,12 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, lr: float)
 
 
 def adam_step_inplace(state: AdamState, params: np.ndarray, grad: np.ndarray,
-                      lr: float, out: np.ndarray = None):
+                      lr: float):
     """Adam step that mutates the moment state in place (hot-loop variant).
 
     Produces bitwise the same result as adam_step but reuses a scratch
     buffer instead of allocating temporaries; returns (state, new_params)
-    for signature parity.  out, when given, receives the new parameters
-    and must not alias params.
+    for signature parity, new_params a new array (params is not written).
     """
     if params.shape != grad.shape or state.m.shape != params.shape:
         raise ValueError("adam_step_inplace: shape mismatch")
@@ -301,10 +300,7 @@ def adam_step_inplace(state: AdamState, params: np.ndarray, grad: np.ndarray,
     tmp += dtype.type(ADAM_EPSILON)
     np.divide(state.m, tmp, out=tmp)
     tmp *= dtype.type(lr / (1.0 - ADAM_BETA1 ** t))
-    if out is None:
-        return state, params - tmp
-    np.subtract(params, tmp, out=out)
-    return state, out
+    return state, params - tmp
 
 
 def step_lr(base_lr: float, iteration: int, step_size: int, gamma: float) -> float:

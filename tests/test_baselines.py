@@ -1,6 +1,8 @@
 """Unit tests for the QPSK+MLE, scratch-CAE, and joint-CAE baselines."""
 
 import os
+import subprocess
+import sys
 import threading
 from collections import deque
 from dataclasses import replace
@@ -416,3 +418,23 @@ def test_pooled_fine_tune_error_propagates_and_joins_the_pool(monkeypatch,
     assert threading.main_thread() not in calls
     assert not any(t.is_alive() for t in calls)
     assert set(threading.enumerate()) <= before
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "3"}])
+def test_import_gives_one_blas_thread_unless_set(preset):
+    # pool threads times BLAS threads must not exceed the cores; a value
+    # the user set wins
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset, PYTHONPATH=src)
+    code = ("import os, omlcae; print(*(os.environ[v] for v in "
+            f"{BLAS_VARS!r}))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    want = [preset.get(v, "1") for v in BLAS_VARS]
+    assert done.stdout.split() == want

@@ -1,5 +1,6 @@
-"""tools/bench_pairs.py rejects pair counts its quartiles cannot summarize,
-names the run that failed, and records which commits it compared."""
+"""tools/bench_pairs.py rejects pair counts its quartiles cannot summarize
+and sides of which only one holds bytecode, names the run that failed, and
+records which commits it compared."""
 
 import importlib.util
 import json
@@ -26,9 +27,12 @@ def test_too_few_pairs_fail_before_any_run(tmp_path, pairs):
 
 
 def test_failed_run_names_side_checkout_workload_and_seed(tmp_path):
-    # pair 0 runs the before side first; an empty checkout has no benchmark
+    # pair 0 runs the before side first; an empty checkout has no benchmark.
+    # It gets bytecode when this checkout has some, which a side alone may not
     before = tmp_path / "empty"
     before.mkdir()
+    if load_bench_pairs().bytecode_dirs(ROOT):
+        (before / "src" / "__pycache__").mkdir(parents=True)
     out = tmp_path / "bench.json"
     done = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "bench_pairs.py"),
@@ -42,11 +46,47 @@ def test_failed_run_names_side_checkout_workload_and_seed(tmp_path):
     assert not out.exists()
 
 
-def test_output_names_each_sides_commit_and_dirty_flag(tmp_path, monkeypatch):
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+@pytest.mark.parametrize("cached_side", ["before", "after"])
+def test_bytecode_on_one_side_only_fails_before_any_run(tmp_path, monkeypatch,
+                                                       cached_side):
+    bench_pairs = load_bench_pairs()
+    sides = {side: tmp_path / side for side in ("before", "after")}
+    for checkout in sides.values():
+        (checkout / "src" / "omlcae").mkdir(parents=True)
+        (checkout / "perfbench").mkdir()
+    cache = sides[cached_side] / "src" / "omlcae" / "__pycache__"
+    cache.mkdir()
+    monkeypatch.setattr(bench_pairs, "ROOT", str(sides["after"]))
+
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    out = tmp_path / "bench.json"
+    argv = ["--before", str(sides["before"]), "--workload", "oml_desk",
+            "--pairs", "2", "--out", str(out)]
+    with pytest.raises(SystemExit, match=f"{cached_side} side holds {cache}"):
+        bench_pairs.main(argv)
+    assert not out.exists()
+    # with bytecode on both sides the pairs run
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda side, *args: {"seq_per_s": 1.0})
+    (sides["after" if cached_side == "before" else "before"]
+     / "perfbench" / "__pycache__").mkdir()
+    bench_pairs.main(argv)
+    assert json.loads(out.read_text())["oml_desk"]["pairs"] == 2
+
+
+def test_output_names_each_sides_commit_and_dirty_flag(tmp_path, monkeypatch):
+    bench_pairs = load_bench_pairs()
     repo, plain = tmp_path / "repo", tmp_path / "plain"
     repo.mkdir()
     plain.mkdir()

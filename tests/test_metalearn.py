@@ -142,12 +142,16 @@ def test_outer_meta_step_matches_naive_reference():
     lr = 1e-4
     for rule in OUTER_RULES:
         config = MetaConfig(adapt_steps=2, outer_rule=rule)
-        s1, t1 = outer_meta_step(model, model.params, tasks, config,
+        theta = model.params.copy()
+        s1, t1 = outer_meta_step(model, theta, tasks, config,
                                  AdamState.fresh(model.n_params), lr)
         s2, t2 = _naive_outer_step(model, model.params, tasks, config,
                                    AdamState.fresh(model.n_params), lr)
         assert np.max(np.abs(t1 - t2)) < 1e-12, rule
         assert np.max(np.abs(t1 - model.params)) > 0, rule
+        # the new theta is a new array, and the input is left as it was
+        assert not np.shares_memory(t1, theta), rule
+        assert np.array_equal(theta, model.params), rule
 
 
 def test_outer_meta_step_alpha_zero_collapses_to_adam():

@@ -15,6 +15,11 @@ file are kept.  Each entry also records what each side ran: its checkout's
 ``git rev-parse HEAD`` and whether tracked files differ from it, or null
 outside git.  A failed run stops the script with a message naming its side,
 checkout, workload and seed, and the tail of its stderr.
+
+Every run gets ``PYTHONDONTWRITEBYTECODE=1``, so runs leave no bytecode
+behind.  Imports from cached bytecode are faster, which shows in
+``setup_s``, so the script refuses to start when exactly one side's
+``src/`` or ``perfbench/`` holds a ``__pycache__``, naming it.
 """
 
 import argparse
@@ -32,7 +37,8 @@ def run_once(side, checkout, workload, seed, seconds):
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
+        cwd=checkout, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     where = f"{side} side ({checkout}), {workload} seed {seed}"
     if done.returncode:
         tail = "\n".join(done.stderr.rstrip().splitlines()[-20:])
@@ -59,6 +65,13 @@ def git_state(checkout):
     return {"head": head.stdout.strip(), "dirty": bool(status.stdout.strip())}
 
 
+def bytecode_dirs(checkout):
+    """The __pycache__ directories under checkout's src/ and perfbench/."""
+    return [os.path.join(root, "__pycache__") for top in ("src", "perfbench")
+            for root, dirs, _ in os.walk(os.path.join(checkout, top))
+            if "__pycache__" in dirs]
+
+
 def pair_count(text):
     pairs = int(text)
     if pairs < 2:
@@ -81,6 +94,12 @@ def main(argv=None):
     args = p.parse_args(argv)
     sides = {"before": os.path.abspath(args.before), "after": ROOT}
     runs = {"before": [], "after": []}
+    cached = {side: bytecode_dirs(checkout) for side, checkout in sides.items()}
+    if bool(cached["before"]) != bool(cached["after"]):
+        side = "before" if cached["before"] else "after"
+        raise SystemExit(f"{side} side holds {cached[side][0]}, the other "
+                         f"side no __pycache__: delete it, or the sides "
+                         f"import at different speeds")
     git = {side: git_state(checkout) for side, checkout in sides.items()}
     for pair in range(args.pairs):
         order = ("before", "after") if pair % 2 == 0 else ("after", "before")
