@@ -1,9 +1,17 @@
 """Online meta-learning channel autoencoder simulator and library."""
 
 import os
+import sys
+import warnings
 
 # one BLAS thread unless set: fine_tune_blocks runs a thread per CPU
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in sys.modules and not any(v in os.environ for v in _BLAS_VARS):
+    warnings.warn("numpy was imported before omlcae with none of "
+                  f"{', '.join(_BLAS_VARS)} set: the one-BLAS-thread default "
+                  "cannot apply, so paper-width fine-tunes may oversubscribe "
+                  "the cores", RuntimeWarning, stacklevel=2)
+for _var in _BLAS_VARS:
     os.environ.setdefault(_var, "1")  # read when numpy loads, just below
 from .cae import CaeModel, decode, encode, evaluate_ser
 from .channel import FadingProcess, NoiseModel, rayleigh_sample, snr_to_sigma2

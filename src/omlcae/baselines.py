@@ -9,7 +9,7 @@ comparisons are paired per sequence.
 import numpy as np
 
 from .cae import CaeModel
-from .channel import NoiseModel, awgn, cmul, cmul_conj
+from .channel import NoiseModel, awgn, cmul, conj
 from .metalearn import (RunConfig, _chunk_schedule, channel_sequence,
                         fine_tune_blocks, run_sgd, task_sequence)
 
@@ -34,7 +34,7 @@ def mle_channel_estimate(pilot_tx, pilot_rx) -> np.ndarray:
     den = np.sum(tr * tr + ti * ti, axis=0)
     if np.any(den == 0):
         raise ValueError("zero pilot energy on some channel use")
-    return cmul_conj(tx, rx).sum(axis=0) / np.repeat(den, 2)
+    return cmul(conj(tx), rx).sum(axis=0) / np.repeat(den, 2)
 
 
 def qpsk_mle_ser(h: np.ndarray, noise: NoiseModel, shots: int, k: int,
@@ -68,7 +68,7 @@ def qpsk_mle_ser(h: np.ndarray, noise: NoiseModel, shots: int, k: int,
     y = cmul(h, x) + awgn(rng, n, noise.sigma2, size=n_eval)
 
     # matched filter z = conj(h_hat) * y; per-component sign decides each bit
-    z = cmul_conj(h_hat, y)
+    z = cmul(conj(h_hat), y)
     b1_hat = (z[:, 0::2] <= 0).astype(np.int64)
     b0_hat = (z[:, 1::2] <= 0).astype(np.int64)
     bit_errors = (b0_hat != bits[..., 0]) | (b1_hat != bits[..., 1])

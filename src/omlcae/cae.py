@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NoiseModel, awgn, cmul, cmul_conj
+from .channel import NoiseModel, awgn, cmul, conj
 from .numerics import ACT_SOFTMAX, MlpSpec, init_params, mlp_backward, mlp_forward
 
 # guards the power-normalization sqrt at all-zero output; small enough that
@@ -206,7 +206,7 @@ def pipeline_loss_grads(model: CaeModel, theta: np.ndarray, onehot: np.ndarray,
              if grads_out is None else grads_out)
     _, g_y = mlp_backward(dec_spec, dec_cache, g_logits,
                           out=grads[..., split:], reduce_lead=reduce)
-    g_x = cmul_conj(h, g_y)
+    g_x = cmul(conj(h), g_y)  # the adjoint of y = h*x is conj(h)*g_y
     if repeats > 1:
         # collapse the repeat groups; the encoder saw each row once
         g_x = g_x.reshape(g_x.shape[:-2] + (-1, repeats, d)).sum(axis=-2)

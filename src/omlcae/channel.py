@@ -1,10 +1,11 @@
 """Complex-baseband channel simulation.
 
 Complex vectors are stored interleaved as flat real arrays of length 2n:
-(re0, im0, re1, im1, ...).  A fading realization h holds one independent
-complex coefficient per channel use and stays constant for an entire
-sequence (block fading); successive sequences are correlated through an
-AR(1) process h_i = rho*h_{i-1} + sqrt(1-rho^2)*h'.
+(re0, im0, re1, im1, ...).  cmul is the one complex product: the channel
+adjoint and the matched filter are cmul(conj(a), b).  A fading realization
+h holds one independent complex coefficient per channel use and stays
+constant for an entire sequence (block fading); successive sequences are
+correlated through an AR(1) process h_i = rho*h_{i-1} + sqrt(1-rho^2)*h'.
 
 SNR convention: Es/N0 per complex channel use against unit average transmit
 power.  sigma2 = 10^(-snr_db/10) is the total complex noise variance per
@@ -40,14 +41,10 @@ def cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def cmul_conj(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """conj(a) * b for interleaved arrays; the adjoint of y = a*x w.r.t. x."""
-    ar, ai = a[..., 0::2], a[..., 1::2]
-    br, bi = b[..., 0::2], b[..., 1::2]
-    re = ar * br + ai * bi
-    out = np.empty(re.shape[:-1] + (2 * re.shape[-1],), dtype=re.dtype)
-    out[..., 0::2] = re
-    out[..., 1::2] = ar * bi - ai * br
+def conj(a: np.ndarray) -> np.ndarray:
+    """Complex conjugate of an interleaved (..., 2n) array (copy)."""
+    out = a.copy()
+    out[..., 1::2] *= -1
     return out
 
 
@@ -60,7 +57,7 @@ def rayleigh_sample(rng: np.random.Generator, n: int, dtype=np.float64) -> np.nd
     """n i.i.d. CN(0, 1) coefficients: each real component ~ N(0, 1/2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return rng.normal(0.0, np.sqrt(0.5), size=2 * n).astype(dtype, copy=False)
+    return awgn(rng, n, 1.0, dtype=dtype)
 
 
 def awgn(rng: np.random.Generator, n: int, sigma2: float, size=None,

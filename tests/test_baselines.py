@@ -423,18 +423,36 @@ def test_pooled_fine_tune_error_propagates_and_joins_the_pool(monkeypatch,
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "3"}])
-def test_import_gives_one_blas_thread_unless_set(preset):
-    # pool threads times BLAS threads must not exceed the cores; a value
-    # the user set wins
+def run_python(code, preset):
+    """Run code in a fresh interpreter whose BLAS variables are just preset."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env.update(preset, PYTHONPATH=src)
-    code = ("import os, omlcae; print(*(os.environ[v] for v in "
-            f"{BLAS_VARS!r}))")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-W", "always", "-c", code],
+                          env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+    return done
+
+
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "3"}])
+def test_import_gives_one_blas_thread_unless_set(preset):
+    # pool threads times BLAS threads must not exceed the cores; a value
+    # the user set wins
+    done = run_python("import os, omlcae; print(*(os.environ[v] for v in "
+                      f"{BLAS_VARS!r}))", preset)
     want = [preset.get(v, "1") for v in BLAS_VARS]
     assert done.stdout.split() == want
+
+
+@pytest.mark.parametrize("code, preset, warns", [
+    ("import numpy, omlcae", {}, True),
+    ("import omlcae, numpy", {}, False),
+    ("import numpy, omlcae", {"OPENBLAS_NUM_THREADS": "1"}, False)])
+def test_import_after_numpy_warns_unless_a_blas_variable_is_set(code, preset,
+                                                                 warns):
+    # numpy has read the BLAS variables by then, so the default cannot apply
+    done = run_python(code, preset)
+    assert done.stderr.count("RuntimeWarning") == int(warns), done.stderr
+    if warns:
+        assert all(v in done.stderr for v in BLAS_VARS)

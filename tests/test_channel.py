@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from omlcae import rng as rngmod
-from omlcae.channel import (FadingProcess, NoiseModel, awgn, cmul, cmul_conj,
+from omlcae.channel import (FadingProcess, NoiseModel, awgn, cmul, conj,
                             rayleigh_sample, snr_to_sigma2, to_complex)
 
 
@@ -20,8 +20,29 @@ def test_cmul_matches_complex_arithmetic():
     b = rng.normal(size=(5, 6))
     got = to_complex(cmul(a, b))
     assert np.allclose(got, to_complex(a) * to_complex(b), atol=1e-12)
-    got = to_complex(cmul_conj(a, b))
+    got = to_complex(cmul(conj(a), b))
     assert np.allclose(got, to_complex(a).conj() * to_complex(b), atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("a_shape, b_shape", [((4,), (50, 4)),
+                                              ((5, 1, 4), (5, 80, 4)),
+                                              ((2,), (7, 2))])
+def test_cmul_of_conj_is_the_conjugate_product_bitwise(dtype, a_shape, b_shape):
+    # re = ar*br + ai*bi, im = ar*bi - ai*br, bit for bit, signed zeros too
+    rng = rngmod.substream(6, "conj", len(a_shape), len(b_shape))
+    a = rng.normal(size=a_shape).astype(dtype)
+    b = rng.normal(size=b_shape).astype(dtype)
+    a.reshape(-1)[:2] = (0.0, -0.0)
+    b.reshape(-1)[:4] = (-0.0, 0.0, -0.0, -0.0)
+    ar, ai, br, bi = a[..., 0::2], a[..., 1::2], b[..., 0::2], b[..., 1::2]
+    want = np.stack(np.broadcast_arrays(ar * br + ai * bi, ar * bi - ai * br),
+                    axis=-1).reshape(np.broadcast_shapes(a.shape, b.shape))
+    a_before = a.tobytes()
+    got = cmul(conj(a), b)
+    assert got.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+    assert a.tobytes() == a_before  # conj copies
 
 
 def test_cmul_unit_rotations():
@@ -36,7 +57,7 @@ def test_cmul_conj_is_adjoint_of_cmul():
     # <a*x, y> = <x, conj(a)*y> in the underlying real inner product
     rng = rngmod.substream(1, "adj")
     a, x, y = rng.normal(size=(3, 8))
-    assert np.isclose(np.dot(cmul(a, x), y), np.dot(x, cmul_conj(a, y)),
+    assert np.isclose(np.dot(cmul(a, x), y), np.dot(x, cmul(conj(a), y)),
                       atol=1e-12)
 
 
@@ -48,6 +69,15 @@ def test_rayleigh_sample_statistics():
     # E[h] ~ 0 within 3 sigma per real component (component var 1/2)
     sigma = np.sqrt(0.5 / len(hc))
     assert abs(hc.real.mean()) < 3 * sigma and abs(hc.imag.mean()) < 3 * sigma
+
+
+def test_rayleigh_sample_is_unit_variance_awgn():
+    for dtype in (np.float32, np.float64):
+        for n in (1, 2, 4):
+            got = rayleigh_sample(rngmod.substream(7, "ray", n), n, dtype=dtype)
+            want = awgn(rngmod.substream(7, "ray", n), n, 1.0, dtype=dtype)
+            assert got.dtype == dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def test_rayleigh_sample_validation():
