@@ -5,10 +5,11 @@ One task = one channel realization's pilot data (balanced support and query
 sets).  Every SGD loop -- the deployment fine-tune, the scratch and joint CAE
 fine-tunes, the meta step's support adaptation, and the joint CAE's training
 on mixed batches -- runs through run_sgd.  meta_train is outer_meta_step in a
-loop over task samples from the buffer; each step stacks its sample's pilots,
-adapts each task on its support set, then updates the meta-initialization
-theta with Adam on one of two first-order meta-gradients, chosen by
-MetaConfig.outer_rule:
+loop over task samples from the buffer, with one rotating gradient pair;
+each step stacks its sample's pilots, adapts each task on its support set
+(a task sampled more than once adapts once after the shared first step),
+then updates the meta-initialization theta with Adam on one of two
+first-order meta-gradients, chosen by MetaConfig.outer_rule:
 
     "fomaml"   first-order MAML: the query-set gradient at the task-adapted
                parameters phi_T, second-order terms dropped
@@ -148,14 +149,18 @@ def run_sgd(model: CaeModel, theta: np.ndarray, batches, lr: float,
     task or a stack of T tasks; theta is (P,), adapted as one copy per
     stacked task, or (T, P).  Gradients go into two rotating arrays of one
     shape, buffers[0] and buffers[1], so a step never writes into the
-    parameters it differentiates and theta is never written.  lr == 0
-    returns theta itself, as the steps would for finite gradients.
+    parameters it differentiates and theta is never written.  buffers holds
+    one pair: a call whose stack height differs from the pair's replaces it.
+    lr == 0 returns theta itself, as the steps would for finite gradients.
     """
     if lr == 0:
         return theta
     buffers = {} if buffers is None else buffers
     neg_lr = theta.dtype.type(-lr)
     for step, (onehot, noise, h, repeats) in enumerate(batches):
+        if step == 0 and buffers and buffers[0].shape[:-1] != (
+                np.broadcast_shapes(theta.shape[:-1], noise.shape[:-2])):
+            buffers.clear()
         _, grads = pipeline_loss_grads(model, theta, onehot, noise, h,
                                        want_loss=False, repeats=repeats,
                                        grads_out=buffers.get(step % 2))
@@ -186,15 +191,28 @@ def outer_meta_step(model: CaeModel, theta: np.ndarray, tasks, config: MetaConfi
     (adapt_steps SGD steps at inner_lr) to phi_T and Adam-updates theta at
     the scheduler-provided lr on the meta-gradient that config.outer_rule
     selects: the mean query-set gradient at phi_T ("fomaml"), or
-    theta - mean_T phi_T ("reptile", no query pass).  buffers carries
-    run_sgd's rotating gradient arrays across calls.  Returns (adam_state,
-    new theta), a new array; theta is never written.
+    theta - mean_T phi_T ("reptile", no query pass).  A task listed more
+    than once (a with-replacement sample) takes the first step with every
+    copy, as a (P,) theta broadcast through flat GEMMs rounds by row count,
+    then its later steps once, on a stack of the distinct tasks; each copy
+    gets that phi, bitwise what adapting every copy would give.  buffers
+    carries run_sgd's rotating gradient pair across calls.  Returns
+    (adam_state, new theta), a new array; theta is never written.
     """
     if not tasks:
         raise ValueError("outer_meta_step needs at least one task")
     support = _stack_tasks(model, tasks, "support", theta.dtype)
-    adapted = run_sgd(model, theta, repeat(support, config.adapt_steps),
-                      config.inner_lr, buffers)
+    _, keep, expand = np.unique([id(t) for t in tasks], return_index=True,
+                                return_inverse=True)
+    steps, lr_in = config.adapt_steps, config.inner_lr
+    if len(keep) < len(tasks) and steps > 1 and lr_in != 0:
+        onehot, noise, h, rep = support
+        adapted = run_sgd(model, theta, [support], lr_in, buffers)[keep]
+        support = onehot, noise[keep], h[keep], rep
+        adapted = run_sgd(model, adapted, repeat(support, steps - 1), lr_in,
+                          buffers)[expand]
+    else:
+        adapted = run_sgd(model, theta, repeat(support, steps), lr_in, buffers)
     if config.outer_rule == "reptile":
         # theta - mean_T phi_T; adapted is theta itself when nothing adapted
         phi_mean = adapted.mean(axis=0) if adapted.ndim > 1 else adapted
@@ -214,10 +232,12 @@ def meta_train(model: CaeModel, theta: np.ndarray, buffer: TaskBuffer,
     buffer, each stacking its own sample.
 
     Tasks are sampled uniformly, without replacement when the buffer holds at
-    least tasks_per_update tasks, with replacement otherwise.  Adam state and
-    the step-decay schedule start fresh by default; callers that split one
-    meta-training budget across calls pass iter_offset (schedule continuation)
-    and their own adam state (updated in place).  theta is never written.
+    least tasks_per_update tasks, with replacement otherwise.  The steps
+    share one run_sgd gradient pair, replaced when the stack height changes
+    (a short buffer's repeats adapt once).  Adam state and the step-decay
+    schedule start fresh by default; callers that split one meta-training
+    budget across calls pass iter_offset (schedule continuation) and their
+    own adam state (updated in place).  theta is never written.
     """
     if len(buffer) == 0:
         raise ValueError("meta_train requires a nonempty buffer")

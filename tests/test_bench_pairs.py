@@ -1,6 +1,6 @@
 """tools/bench_pairs.py rejects pair counts its quartiles cannot summarize
-and sides of which only one holds bytecode, names the run that failed, and
-records which commits it compared."""
+and sides of which only one holds bytecode, names the run that failed,
+records which commits it compared, and prints a per-metric summary."""
 
 import importlib.util
 import json
@@ -118,3 +118,28 @@ def test_output_names_each_sides_commit_and_dirty_flag(tmp_path, monkeypatch):
     entry = json.loads(out.read_text())["oml_desk"]
     assert entry["git"] == {"before": None,
                             "after": {"head": head, "dirty": True}}
+
+
+def test_prints_each_metrics_medians_and_after_wins(tmp_path, monkeypatch,
+                                                   capsys):
+    bench_pairs = load_bench_pairs()
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+    # seeds 1-3 run in pair order; the after side wins seq_per_s in pairs 2
+    # and 3, and peak_rss_mb (lower is better) in pair 1 only
+    values = {("before", 1): (10.0, 43.0), ("after", 1): (9.0, 42.5),
+              ("before", 2): (11.0, 43.0), ("after", 2): (13.5, 43.5),
+              ("before", 3): (12.0, 43.0), ("after", 3): (14.0, 43.0)}
+
+    def run_once(side, checkout, workload, seed, seconds):
+        seq, rss = values[side, seed]
+        return {"seq_per_s": seq, "peak_rss_mb": rss}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--before", str(tmp_path), "--workload", "grid_desk",
+                      "--pairs", "3", "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == [
+        "grid_desk seq_per_s: 11 -> 13.5 (after wins 2/3)",
+        "grid_desk peak_rss_mb: 43 -> 43 (after wins 1/3)"]
+    assert json.loads(out.read_text())["grid_desk"]["pairs"] == 3

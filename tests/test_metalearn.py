@@ -6,7 +6,7 @@ from itertools import product, repeat
 import numpy as np
 import pytest
 
-from omlcae import rng as rngmod
+from omlcae import metalearn, rng as rngmod
 from omlcae.cae import CaeModel, loss_and_grads
 from omlcae.channel import rayleigh_sample, snr_to_sigma2
 from omlcae.cae import pipeline_loss_grads
@@ -15,7 +15,8 @@ from omlcae.metalearn import (OUTER_RULES, MetaConfig, RunConfig, Task,
                               channel_sequence, inner_adapt, make_pilot_task,
                               meta_train, online_run, outer_meta_step, run_sgd,
                               task_sequence, theta_hash)
-from omlcae.numerics import AdamState, adam_step, step_lr
+from omlcae.numerics import (AdamState, adam_step, adam_step_inplace,
+                             step_lr)
 
 
 def small_model(k=2, n_ch=1, seed=0, hidden=8):
@@ -237,6 +238,103 @@ def test_meta_train_matches_naive_loop_bitwise():
             adam, theta = outer_meta_step(model, theta, [buf[i] for i in idx],
                                           config, adam, lr)
         assert np.array_equal(got, theta), (rule, k)
+
+
+def _full_stack_outer_step(model, theta, tasks, config, adam_state, lr):
+    """The meta step adapting every sampled copy: run_sgd on the full
+    _stack_tasks stack for all adapt_steps, then the outer rule and Adam."""
+    support = _stack_tasks(model, tasks, "support", theta.dtype)
+    adapted = run_sgd(model, theta, repeat(support, config.adapt_steps),
+                      config.inner_lr)
+    if config.outer_rule == "reptile":
+        meta_grad = theta - (adapted.mean(axis=0) if adapted.ndim > 1
+                             else adapted)
+    else:
+        onehot, noise, h, rep = _stack_tasks(model, tasks, "query", theta.dtype)
+        _, meta_grad = pipeline_loss_grads(model, adapted, onehot, noise, h,
+                                           want_loss=False, repeats=rep,
+                                           mean_grads=True)
+    return adam_step_inplace(adam_state, theta, meta_grad, lr)
+
+
+def desk_model_and_tasks(shots, dtype, n_tasks=5):
+    model = CaeModel.build(4, 2, rngmod.substream(0, "repeats"), hidden=64,
+                           dtype=dtype)
+    rng = rngmod.substream(1, "repeats", shots)
+    return model, [make_pilot_task(model, rayleigh_sample(rng, 2), 0.3, shots,
+                                   rng) for _ in range(n_tasks)]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shots", [1, 5])
+def test_outer_meta_step_adapts_repeated_tasks_once_bitwise(shots, dtype):
+    # a repeated task adapts once after the shared first step; theta and
+    # the Adam moments equal adapting every copy bit for bit, at the desk
+    # width (a first step on the distinct tasks alone fails this at 1 shot)
+    model, pool = desk_model_and_tasks(shots, dtype)
+    pool = dict(zip("abcde", pool))
+    for rule, steps, inner_lr in product(OUTER_RULES, (1, 10), (0.05, 0.0)):
+        config = MetaConfig(inner_lr=inner_lr, adapt_steps=steps,
+                            outer_rule=rule)
+        for sample in ("aaaaa", "ababa", "cabac", "abcda", "abcde"):
+            tasks = [pool[name] for name in sample]
+            got_state = AdamState.fresh(model.n_params, dtype=dtype)
+            want_state = AdamState.fresh(model.n_params, dtype=dtype)
+            _, got = outer_meta_step(model, model.params, tasks, config,
+                                     got_state, 1e-3)
+            _, want = _full_stack_outer_step(model, model.params, tasks,
+                                             config, want_state, 1e-3)
+            where = (rule, steps, inner_lr, sample)
+            assert got.dtype == dtype, where
+            assert np.array_equal(got, want), where
+            assert np.array_equal(got_state.m, want_state.m), where
+            assert np.array_equal(got_state.v, want_state.v), where
+
+
+@pytest.mark.parametrize("rule", OUTER_RULES)
+def test_meta_train_over_short_buffers_matches_full_stack_loop_bitwise(
+        monkeypatch, rule):
+    # buffers of 1-4 tasks sampled 5 at a time with replacement: the
+    # distinct-task stack height varies between steps, and run_sgd replaces
+    # its one gradient pair instead of raising on a wrong-shape grads_out
+    model, pool = desk_model_and_tasks(1, np.float64, n_tasks=4)
+    config = MetaConfig(adapt_steps=10, outer_iters=25, tasks_per_update=5,
+                        outer_rule=rule)
+    real, heights, raised = pipeline_loss_grads, set(), []
+
+    def traced(*args, grads_out=None, **kwargs):
+        try:
+            loss, grads = real(*args, grads_out=grads_out, **kwargs)
+        except ValueError as err:
+            raised.append(err)
+            raise
+        heights.add(grads.shape[:-1])
+        return loss, grads
+
+    monkeypatch.setattr(metalearn, "pipeline_loss_grads", traced)
+    for n in range(1, 5):
+        buf = TaskBuffer(config.buffer_capacity)
+        buf.extend(pool[:n])
+        got = meta_train(model, model.params, buf, config,
+                         rngmod.substream(n, "short"))
+        rng = rngmod.substream(n, "short")
+        theta, adam = model.params, AdamState.fresh(model.n_params)
+        for it in range(config.outer_iters):
+            idx = rng.choice(n, size=5, replace=n < 5)
+            lr = step_lr(config.outer_lr, it, config.lr_step_size,
+                         config.lr_gamma)
+            adam, theta = _full_stack_outer_step(
+                model, theta, [buf[i] for i in idx], config, adam, lr)
+        assert np.array_equal(got, theta), n
+    assert not raised
+    assert {(1,), (2,), (3,), (4,), (5,)} <= heights
+    # one pair: a call at another stack height replaces it, adding none
+    buffers = {}
+    for n in (5, 2, 2, 5):
+        batch = _stack_tasks(model, pool[:1] * n, "support", np.float64)
+        run_sgd(model, model.params, repeat(batch, 3), 0.05, buffers)
+        assert sorted(buffers) == [0, 1]
+        assert buffers[0].shape == buffers[1].shape == (n, model.n_params)
 
 
 def test_meta_train_edge_cases():

@@ -9,12 +9,14 @@ pair runs ``perfbench/run.py --trace 0`` once in each checkout with the same
 seed (the pair's index), alternating which side runs first.  The output file
 gets one entry per workload: every run's end-to-end metrics, each side's
 median and quartiles, and for each metric how many pairs the after side
-won.  Quartiles need at least 2 pairs; the default 10 is the fewest on
-which a gain may be claimed.  Entries for other workloads already in the
-file are kept.  Each entry also records what each side ran: its checkout's
-``git rev-parse HEAD`` and whether tracked files differ from it, or null
-outside git.  A failed run stops the script with a message naming its side,
-checkout, workload and seed, and the tail of its stderr.
+won; the script then prints one line per metric, ``<workload> <metric>:
+<before median> -> <after median> (after wins k/n)``.  Quartiles need at
+least 2 pairs; the default 10 is the fewest on which a gain may be
+claimed.  Entries for other workloads already in the file are kept.  Each
+entry also records what each side ran: its checkout's ``git rev-parse
+HEAD`` and whether tracked files differ from it, or null outside git.  A
+failed run stops the script with a message naming its side, checkout,
+workload and seed, and the tail of its stderr.
 
 Every run gets ``PYTHONDONTWRITEBYTECODE=1``, so runs leave no bytecode
 behind.  Imports from cached bytecode are faster, which shows in
@@ -129,6 +131,10 @@ def main(argv=None):
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
+    for name, m in metrics.items():
+        print(f"{args.workload} {name}: {m['before']['median']:.6g} -> "
+              f"{m['after']['median']:.6g} (after wins "
+              f"{m['after_wins']}/{args.pairs})")
 
 
 if __name__ == "__main__":
