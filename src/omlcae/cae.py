@@ -152,8 +152,7 @@ def pilot_batch(model: CaeModel, noise: np.ndarray, h: np.ndarray, dtype):
 
 def pipeline_loss_grads(model: CaeModel, theta: np.ndarray, onehot: np.ndarray,
                         noise: np.ndarray, h: np.ndarray, want_loss: bool = True,
-                        repeats: int = 1, mean_grads: bool = False,
-                        grads_out: np.ndarray = None):
+                        repeats: int = 1, mean_grads: bool = False):
     """End-to-end loss and exact parameter gradient, batched.
 
     theta: (P,) or (T, P); onehot: (..., B, 2^k) doubling as the label
@@ -166,8 +165,6 @@ def pipeline_loss_grads(model: CaeModel, theta: np.ndarray, onehot: np.ndarray,
     skips the loss value (returned as None) on gradient-only hot paths.
     mean_grads=True returns the gradient averaged over the leading (stacked
     task) axes as one flat vector, summed inside the layer matrix products.
-    grads_out supplies a preallocated gradient buffer for hot loops; one of
-    the wrong shape raises in mlp_backward.
     """
     split = model.split
     enc_spec, dec_spec = model.encoder_spec, model.decoder_spec
@@ -202,8 +199,7 @@ def pipeline_loss_grads(model: CaeModel, theta: np.ndarray, onehot: np.ndarray,
     denom = batch * int(np.prod(lead)) if reduce else batch
     g_logits /= labels.dtype.type(denom)
     grad_lead = () if reduce else lead
-    grads = (np.empty(grad_lead + (model.n_params,), dtype=probs.dtype)
-             if grads_out is None else grads_out)
+    grads = np.empty(grad_lead + (model.n_params,), dtype=probs.dtype)
     _, g_y = mlp_backward(dec_spec, dec_cache, g_logits,
                           out=grads[..., split:], reduce_lead=reduce)
     g_x = cmul(conj(h), g_y)  # the adjoint of y = h*x is conj(h)*g_y

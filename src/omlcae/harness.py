@@ -24,7 +24,7 @@ import numpy as np
 from .baselines import run_joint_cae, run_qpsk_mle, run_scratch_cae
 from .cae import CaeModel, codebook, transmit
 from .channel import NoiseModel, snr_to_sigma2
-from .metalearn import MetaConfig, RunConfig, online_run
+from .metalearn import MetaConfig, RunConfig, online_run, require_ints
 
 METHODS = ("oml_cae", "cae", "joint_cae", "qpsk_mle")
 
@@ -83,6 +83,7 @@ class ExperimentConfig:
     query_shots: int = None
 
     def validate(self):
+        require_ints(self, ((f"shots[{i}]", s) for i, s in enumerate(self.shots)))
         if self.k < 1 or self.n_ch < 1:
             raise ValueError("k and n_ch must be >= 1")
         if "qpsk_mle" in self.methods and self.k != 2 * self.n_ch:

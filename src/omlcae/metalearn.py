@@ -5,11 +5,11 @@ One task = one channel realization's pilot data (balanced support and query
 sets).  Every SGD loop -- the deployment fine-tune, the scratch and joint CAE
 fine-tunes, the meta step's support adaptation, and the joint CAE's training
 on mixed batches -- runs through run_sgd.  meta_train is outer_meta_step in a
-loop over task samples from the buffer, with one rotating gradient pair;
-each step stacks its sample's pilots, adapts each task on its support set
-(a task sampled more than once adapts once after the shared first step),
-then updates the meta-initialization theta with Adam on one of two
-first-order meta-gradients, chosen by MetaConfig.outer_rule:
+loop over task samples from the buffer; each step allocates what it returns,
+stacks its sample's pilots, adapts each task on its support set (a task
+sampled more than once adapts once after the shared first step), then
+updates the meta-initialization theta with Adam on one of two first-order
+meta-gradients, chosen by MetaConfig.outer_rule:
 
     "fomaml"   first-order MAML: the query-set gradient at the task-adapted
                parameters phi_T, second-order terms dropped
@@ -41,7 +41,7 @@ import hashlib
 import os
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import islice, repeat
 
@@ -84,6 +84,18 @@ def buffer_push(buffer: TaskBuffer, task: Task) -> TaskBuffer:
 OUTER_RULES = ("fomaml", "reptile")
 
 
+def require_ints(cfg, extra=()):
+    """Raise ValueError naming the dataclass cfg's first int field, or (name,
+    value) of extra, that is no int; bools fail, None passes only as default."""
+    pairs = [(f.name, getattr(cfg, f.name)) for f in fields(cfg)
+             if f.type is int and (getattr(cfg, f.name) is not None
+                                   or f.default is not None)]
+    for name, value in pairs + list(extra):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{type(cfg).__name__}.{name} must be an "
+                             f"integer, got {value!r}")
+
+
 @dataclass
 class MetaConfig:
     inner_lr: float = 0.05
@@ -98,6 +110,7 @@ class MetaConfig:
     outer_rule: str = "fomaml"
 
     def validate(self):
+        require_ints(self)
         for name in ("inner_lr", "outer_lr", "adapt_steps", "outer_iters",
                      "finetune_iters"):
             if not 0 <= getattr(self, name) < np.inf:  # NaN fails too
@@ -141,30 +154,22 @@ def _stack_tasks(model: CaeModel, tasks, which: str, dtype):
                        np.stack([t.h for t in tasks]), dtype)
 
 
-def run_sgd(model: CaeModel, theta: np.ndarray, batches, lr: float,
-            buffers: dict = None) -> np.ndarray:
+def run_sgd(model: CaeModel, theta: np.ndarray, batches,
+            lr: float) -> np.ndarray:
     """SGD on the pipeline loss from theta, one step per batch of batches.
 
     A batch is a pilot_batch-style tuple (onehot, noise, h, repeats) for one
     task or a stack of T tasks; theta is (P,), adapted as one copy per
-    stacked task, or (T, P).  Gradients go into two rotating arrays of one
-    shape, buffers[0] and buffers[1], so a step never writes into the
-    parameters it differentiates and theta is never written.  buffers holds
-    one pair: a call whose stack height differs from the pair's replaces it.
-    lr == 0 returns theta itself, as the steps would for finite gradients.
+    stacked task, or (T, P).  Each step's new gradient array becomes the new
+    parameters, so theta is never written; lr == 0 returns theta itself, as
+    the steps would for finite gradients.
     """
     if lr == 0:
         return theta
-    buffers = {} if buffers is None else buffers
     neg_lr = theta.dtype.type(-lr)
-    for step, (onehot, noise, h, repeats) in enumerate(batches):
-        if step == 0 and buffers and buffers[0].shape[:-1] != (
-                np.broadcast_shapes(theta.shape[:-1], noise.shape[:-2])):
-            buffers.clear()
+    for onehot, noise, h, repeats in batches:
         _, grads = pipeline_loss_grads(model, theta, onehot, noise, h,
-                                       want_loss=False, repeats=repeats,
-                                       grads_out=buffers.get(step % 2))
-        buffers[step % 2] = grads
+                                       want_loss=False, repeats=repeats)
         grads *= neg_lr
         grads += theta  # broadcasts a (P,) theta over a stack
         theta = grads
@@ -183,7 +188,7 @@ def inner_adapt(model: CaeModel, theta: np.ndarray, task, steps: int,
 
 
 def outer_meta_step(model: CaeModel, theta: np.ndarray, tasks, config: MetaConfig,
-                    adam_state: AdamState, lr: float, buffers: dict = None):
+                    adam_state: AdamState, lr: float):
     """One meta-update from a list of tasks.
 
     Stacks the tasks' support sets, and their query sets under "fomaml",
@@ -195,8 +200,7 @@ def outer_meta_step(model: CaeModel, theta: np.ndarray, tasks, config: MetaConfi
     than once (a with-replacement sample) takes the first step with every
     copy, as a (P,) theta broadcast through flat GEMMs rounds by row count,
     then its later steps once, on a stack of the distinct tasks; each copy
-    gets that phi, bitwise what adapting every copy would give.  buffers
-    carries run_sgd's rotating gradient pair across calls.  Returns
+    gets that phi, bitwise what adapting every copy would give.  Returns
     (adam_state, new theta), a new array; theta is never written.
     """
     if not tasks:
@@ -207,12 +211,12 @@ def outer_meta_step(model: CaeModel, theta: np.ndarray, tasks, config: MetaConfi
     steps, lr_in = config.adapt_steps, config.inner_lr
     if len(keep) < len(tasks) and steps > 1 and lr_in != 0:
         onehot, noise, h, rep = support
-        adapted = run_sgd(model, theta, [support], lr_in, buffers)[keep]
+        adapted = run_sgd(model, theta, [support], lr_in)[keep]
         support = onehot, noise[keep], h[keep], rep
-        adapted = run_sgd(model, adapted, repeat(support, steps - 1), lr_in,
-                          buffers)[expand]
+        adapted = run_sgd(model, adapted, repeat(support, steps - 1),
+                          lr_in)[expand]
     else:
-        adapted = run_sgd(model, theta, repeat(support, steps), lr_in, buffers)
+        adapted = run_sgd(model, theta, repeat(support, steps), lr_in)
     if config.outer_rule == "reptile":
         # theta - mean_T phi_T; adapted is theta itself when nothing adapted
         phi_mean = adapted.mean(axis=0) if adapted.ndim > 1 else adapted
@@ -232,12 +236,11 @@ def meta_train(model: CaeModel, theta: np.ndarray, buffer: TaskBuffer,
     buffer, each stacking its own sample.
 
     Tasks are sampled uniformly, without replacement when the buffer holds at
-    least tasks_per_update tasks, with replacement otherwise.  The steps
-    share one run_sgd gradient pair, replaced when the stack height changes
-    (a short buffer's repeats adapt once).  Adam state and the step-decay
-    schedule start fresh by default; callers that split one meta-training
-    budget across calls pass iter_offset (schedule continuation) and their
-    own adam state (updated in place).  theta is never written.
+    least tasks_per_update tasks, with replacement otherwise (a short
+    buffer's repeats adapt once).  Adam state and the step-decay schedule
+    start fresh by default; callers that split one meta-training budget
+    across calls pass iter_offset (schedule continuation) and their own adam
+    state (updated in place).  theta is never written.
     """
     if len(buffer) == 0:
         raise ValueError("meta_train requires a nonempty buffer")
@@ -245,13 +248,12 @@ def meta_train(model: CaeModel, theta: np.ndarray, buffer: TaskBuffer,
     k = config.tasks_per_update
     if adam is None:
         adam = AdamState.fresh(theta.shape[-1], dtype=theta.dtype)
-    buffers = {}
     for it in range(config.outer_iters):
         idx = rng.choice(n, size=k, replace=n < k)
         lr = step_lr(config.outer_lr, iter_offset + it,
                      config.lr_step_size, config.lr_gamma)
         adam, theta = outer_meta_step(model, theta, [buffer[i] for i in idx],
-                                      config, adam, lr, buffers)
+                                      config, adam, lr)
     return theta
 
 

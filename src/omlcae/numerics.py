@@ -23,7 +23,7 @@ meta-training tractable in pure NumPy.
 The pure adam_step is the test reference for the in-place Adam.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -205,12 +205,8 @@ def mlp_backward(spec: MlpSpec, cache, output_grad: np.ndarray,
 
     # delta has the forward output's leading axes: theta's and x's broadcast
     grad_lead = () if reduce_lead else delta.shape[:-2]
-    if out is None:
-        param_grad = np.empty(grad_lead + (spec.n_params,), dtype=dtype)
-    else:
-        if out.shape != grad_lead + (spec.n_params,):
-            raise ValueError("out array has wrong shape")
-        param_grad = out
+    param_grad = (np.empty(grad_lead + (spec.n_params,), dtype=dtype)
+                  if out is None else out)
     layout = spec.layout
 
     for i in range(len(layers) - 1, -1, -1):
@@ -247,7 +243,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    scratch: np.ndarray = field(default=None, repr=False, compare=False)
 
     @classmethod
     def fresh(cls, n_params: int, dtype=np.float64) -> "AdamState":
@@ -261,7 +256,6 @@ def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, lr: float)
         raise ValueError("adam_step: shape mismatch")
     t = state.t + 1
     dtype = params.dtype
-    # elementwise work with out= to keep temporaries off the hot path
     m = np.multiply(state.m, dtype.type(ADAM_BETA1))
     m += dtype.type(1.0 - ADAM_BETA1) * grad
     v = np.multiply(state.v, dtype.type(ADAM_BETA2))
@@ -277,22 +271,19 @@ def adam_step_inplace(state: AdamState, params: np.ndarray, grad: np.ndarray,
                       lr: float):
     """Adam step that mutates the moment state in place (hot-loop variant).
 
-    Produces bitwise the same result as adam_step but reuses a scratch
-    buffer instead of allocating temporaries; returns (state, new_params)
-    for signature parity, new_params a new array (params is not written).
+    Produces bitwise the same result as adam_step, computing the update
+    and then the new parameters in one new array; returns (state,
+    new_params) for signature parity (params is not written).
     """
     if params.shape != grad.shape or state.m.shape != params.shape:
         raise ValueError("adam_step_inplace: shape mismatch")
     dtype = params.dtype
     state.t += 1
     t = state.t
-    tmp = state.scratch
-    if tmp is None or tmp.shape != params.shape:
-        tmp = state.scratch = np.empty_like(params)
     state.m *= dtype.type(ADAM_BETA1)
     state.m += dtype.type(1.0 - ADAM_BETA1) * grad
     state.v *= dtype.type(ADAM_BETA2)
-    np.multiply(dtype.type(1.0 - ADAM_BETA2), grad, out=tmp)
+    tmp = np.multiply(dtype.type(1.0 - ADAM_BETA2), grad)
     tmp *= grad
     state.v += tmp
     np.divide(state.v, dtype.type(1.0 - ADAM_BETA2 ** t), out=tmp)
@@ -300,7 +291,7 @@ def adam_step_inplace(state: AdamState, params: np.ndarray, grad: np.ndarray,
     tmp += dtype.type(ADAM_EPSILON)
     np.divide(state.m, tmp, out=tmp)
     tmp *= dtype.type(lr / (1.0 - ADAM_BETA1 ** t))
-    return state, params - tmp
+    return state, np.subtract(params, tmp, out=tmp)
 
 
 def step_lr(base_lr: float, iteration: int, step_size: int, gamma: float) -> float:

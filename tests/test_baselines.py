@@ -1,6 +1,7 @@
 """Unit tests for the QPSK+MLE, scratch-CAE, and joint-CAE baselines."""
 
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -421,13 +422,17 @@ def test_pooled_fine_tune_error_propagates_and_joins_the_pool(monkeypatch,
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+               "GLIBC_TUNABLES")
 
 
 def run_python(code, preset):
-    """Run code in a fresh interpreter whose BLAS variables are just preset."""
+    """Run code in a fresh interpreter whose BLAS and malloc variables are
+    just preset."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env = {k: v for k, v in os.environ.items()
+           if k not in BLAS_VARS + MALLOC_VARS}
     env.update(preset, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-W", "always", "-c", code],
                           env=env, capture_output=True, text=True, timeout=60)
@@ -456,3 +461,34 @@ def test_import_after_numpy_warns_unless_a_blas_variable_is_set(code, preset,
     assert done.stderr.count("RuntimeWarning") == int(warns), done.stderr
     if warns:
         assert all(v in done.stderr for v in BLAS_VARS)
+
+
+# 50 rounds of two filled 625 KiB arrays, after one round to warm up
+PAGE_FAULTS = """
+import resource, omlcae, numpy as np
+def rounds(n):
+    for _ in range(n):
+        a, b = np.ones(80_000), np.ones(80_000)
+        del a, b
+rounds(1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+rounds(50)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc")
+@pytest.mark.parametrize("preset", [
+    {}, {"MALLOC_TRIM_THRESHOLD_": "131072"},
+    {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}])
+def test_import_keeps_freed_arrays_in_the_process_unless_malloc_is_tuned(
+        preset):
+    # glibc unmaps a freed 625 KiB block by default, so every round faults
+    # all its pages in again; the import keeps such blocks in malloc's free
+    # lists, unless the user tuned malloc, whose setting wins
+    pages = 50 * 2 * -(-80_000 * 8 // os.sysconf("SC_PAGESIZE"))
+    faults = int(run_python(PAGE_FAULTS, preset).stdout)
+    if preset:
+        assert faults > 0.9 * pages
+    else:
+        assert faults < 0.1 * pages

@@ -4,6 +4,8 @@ pilot-efficiency analysis."""
 import json
 import math
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,6 +83,29 @@ def test_config_validation():
     tiny_cfg("/tmp", query_shots=1, warmup=0).validate()
     # +inf dB is the noiseless channel (criterion 6)
     tiny_cfg("/tmp", snr_db=(5.0, float("inf"))).validate()
+
+
+META_INTS = ("adapt_steps", "outer_iters", "finetune_iters",
+             "tasks_per_update", "lr_step_size", "buffer_capacity")
+
+
+@pytest.mark.parametrize("bad", [2.5, True])
+@pytest.mark.parametrize("name", (
+    "k", "n_ch", "n_sequences", "n_eval", "hidden", "warmup", "seed",
+    "shots", "query_shots") + META_INTS)
+def test_config_validation_rejects_non_integer_counts(tmp_path, name, bad):
+    # a float count passed validation and died in the grid with a TypeError,
+    # and a bool ran as 0 or 1
+    cfg, where = tiny_cfg(tmp_path), f"ExperimentConfig.{name}"
+    if name in META_INTS:
+        cfg.meta, where = replace(cfg.meta, **{name: bad}), f"MetaConfig.{name}"
+    elif name == "shots":
+        cfg.shots, where = (bad,), "ExperimentConfig.shots[0]"
+    else:
+        setattr(cfg, name, bad)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{where} must be an integer, got {bad!r}")):
+        cfg.validate()
 
 
 def test_the_paper_profile_is_the_defaults():
