@@ -46,6 +46,8 @@ def qpsk_mle_ser(h: np.ndarray, noise: NoiseModel, shots: int, k: int,
     bit is demodulated incorrectly.  The pilot is the all-ones QPSK point
     repeated `shots` times per use (any fixed known pilot is ML-equivalent).
     """
+    if n_eval < 1:
+        raise ValueError("n_eval must be >= 1")
     if k % 2 != 0:
         raise ValueError("QPSK requires an even number of bits (k = 2*n_ch)")
     n = k // 2
@@ -151,10 +153,10 @@ def run_qpsk_mle(cfg: RunConfig):
     pilots); returns [(sequence, ser)]."""
     if cfg.k != 2 * cfg.n_ch:
         raise ValueError("qpsk_mle requires k = 2 * n_ch")
-    noise = NoiseModel(cfg.sigma2)
     results = []
-    for i, h in channel_sequence(cfg):
-        ser = qpsk_mle_ser(h.astype(np.float64), noise, cfg.shots, cfg.k,
-                           cfg.n_eval, cfg.cell_substream("qpsk-pilots", i))
+    for i, h in channel_sequence(cfg):  # validates cfg first
+        ser = qpsk_mle_ser(h.astype(np.float64), NoiseModel(cfg.sigma2),
+                           cfg.shots, cfg.k, cfg.n_eval,
+                           cfg.cell_substream("qpsk-pilots", i))
         results.append((i, ser))
     return results

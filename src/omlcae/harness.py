@@ -23,7 +23,7 @@ import numpy as np
 
 from .baselines import run_joint_cae, run_qpsk_mle, run_scratch_cae
 from .cae import CaeModel, codebook, transmit
-from .channel import NoiseModel, snr_to_sigma2
+from .channel import NoiseModel
 from .metalearn import MetaConfig, RunConfig, online_run, require_ints
 
 METHODS = ("oml_cae", "cae", "joint_cae", "qpsk_mle")
@@ -83,9 +83,9 @@ class ExperimentConfig:
     query_shots: int = None
 
     def validate(self):
+        """Check the grid, then each (snr, shots) cell as RunConfig.validate
+        does."""
         require_ints(self, ((f"shots[{i}]", s) for i, s in enumerate(self.shots)))
-        if self.k < 1 or self.n_ch < 1:
-            raise ValueError("k and n_ch must be >= 1")
         if "qpsk_mle" in self.methods and self.k != 2 * self.n_ch:
             raise ValueError(
                 f"qpsk_mle requires k = 2*n_ch, got k={self.k}, n_ch={self.n_ch}")
@@ -98,27 +98,15 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
         if any(s < 1 for s in self.shots):
             raise ValueError("shots entries must be >= 1")
-        for snr in self.snr_db:  # +inf dB is the noiseless channel
-            try:  # below about -3083 dB, 10 ** (-snr / 10) overflows
-                NoiseModel(snr_to_sigma2(snr))
-            except (OverflowError, ValueError):
-                raise ValueError(f"snr_db entry {snr!r} has no finite noise "
-                                 f"variance sigma2 >= 0") from None
         if self.profile not in PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}")
         if self.dtype not in _DTYPES:
             raise ValueError(f"dtype must be one of {sorted(_DTYPES)}")
-        if self.n_eval < 1 or self.n_sequences < 1 or self.hidden < 1:
-            raise ValueError("n_eval, n_sequences and hidden must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError("rho must be in [0, 1]")
-        if self.query_shots is not None and self.query_shots < 1:
-            raise ValueError("query_shots must be >= 1 when set")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
-        self.meta.validate()
+        for snr in self.snr_db:
+            for shots in self.shots:
+                self.run_config(snr, shots).validate()
 
     def run_config(self, snr_db: float, shots: int) -> RunConfig:
         return RunConfig(k=self.k, n_ch=self.n_ch, snr_db=snr_db, shots=shots,

@@ -41,7 +41,7 @@ import hashlib
 import os
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from itertools import islice, repeat
 
@@ -71,6 +71,7 @@ class TaskBuffer(deque):
     """Bounded FIFO of tasks; appending past capacity evicts the oldest."""
 
     def __init__(self, capacity: int):
+        require_ints(self, [("capacity", capacity)])
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         super().__init__(maxlen=int(capacity))
@@ -85,11 +86,12 @@ OUTER_RULES = ("fomaml", "reptile")
 
 
 def require_ints(cfg, extra=()):
-    """Raise ValueError naming the dataclass cfg's first int field, or (name,
+    """Raise ValueError naming cfg's first int dataclass field, or (name,
     value) of extra, that is no int; bools fail, None passes only as default."""
     pairs = [(f.name, getattr(cfg, f.name)) for f in fields(cfg)
              if f.type is int and (getattr(cfg, f.name) is not None
-                                   or f.default is not None)]
+                                   or f.default is not None)
+             ] if is_dataclass(cfg) else []
     for name, value in pairs + list(extra):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{type(cfg).__name__}.{name} must be an "
@@ -162,17 +164,24 @@ def run_sgd(model: CaeModel, theta: np.ndarray, batches,
     task or a stack of T tasks; theta is (P,), adapted as one copy per
     stacked task, or (T, P).  Each step's new gradient array becomes the new
     parameters, so theta is never written; lr == 0 returns theta itself, as
-    the steps would for finite gradients.
+    the steps would for finite gradients.  Where a parameter vector fills a
+    fine-tune block alone (the paper width), the backward writes each
+    layer's new parameters while its gradient is in cache; at the desk width
+    one whole-array update costs less than the per-layer ones.  Both paths
+    are bitwise equal.
     """
     if lr == 0:
         return theta
     neg_lr = theta.dtype.type(-lr)
+    fused = _block_width(theta.shape[-1] * theta.itemsize) == 1
     for onehot, noise, h, repeats in batches:
-        _, grads = pipeline_loss_grads(model, theta, onehot, noise, h,
-                                       want_loss=False, repeats=repeats)
-        grads *= neg_lr
-        grads += theta  # broadcasts a (P,) theta over a stack
-        theta = grads
+        # positional: perfbench/tracing.py names the ninth slot otherwise
+        _, new = pipeline_loss_grads(model, theta, onehot, noise, h, False,
+                                     repeats, False, neg_lr if fused else None)
+        if not fused:
+            new *= neg_lr
+            new += theta  # broadcasts a (P,) theta over a stack
+        theta = new
     return theta
 
 
@@ -283,14 +292,40 @@ class RunConfig:
         return rngmod.substream(self.seed, purpose, self.snr_db, self.shots,
                                 *extra)
 
+    def validate(self):
+        """Raise ValueError naming a field no cell can run with.  A runner
+        starts from build_model or channel_sequence, and both call this."""
+        require_ints(self)
+        if self.k < 1 or self.n_ch < 1:
+            raise ValueError("k and n_ch must be >= 1")
+        if self.shots < 1:
+            raise ValueError("shots must be >= 1")
+        try:  # +inf dB is the noiseless channel; below about -3083 dB,
+            NoiseModel(self.sigma2)  # 10 ** (-snr / 10) overflows
+        except (OverflowError, ValueError):
+            raise ValueError(f"snr_db entry {self.snr_db!r} has no finite "
+                             f"noise variance sigma2 >= 0") from None
+        if self.n_eval < 1 or self.n_sequences < 1 or self.hidden < 1:
+            raise ValueError("n_eval, n_sequences and hidden must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.rho <= 1.0:
+            raise ValueError("rho must be in [0, 1]")
+        if self.query_shots is not None and self.query_shots < 1:
+            raise ValueError("query_shots must be >= 1 when set")
+        self.meta.validate()
+
     def build_model(self) -> CaeModel:
+        self.validate()
         return CaeModel.build(self.k, self.n_ch, self.cell_substream("init"),
                               hidden=self.hidden, dtype=self.dtype)
 
 
 def channel_sequence(cfg: RunConfig):
     """Yield (sequence_index, h): the cell's AR(1) channel realizations,
-    drawn from the ("channel", snr, shots) substream alone."""
+    drawn from the ("channel", snr, shots) substream alone, after
+    cfg.validate()."""
+    cfg.validate()
     fading = FadingProcess(cfg.rho, cfg.n_ch, cfg.cell_substream("channel"),
                            dtype=cfg.dtype)
     for i in range(1, cfg.n_sequences + 1):
@@ -300,8 +335,7 @@ def channel_sequence(cfg: RunConfig):
 def task_sequence(cfg: RunConfig, model: CaeModel):
     """Yield (sequence_index, h, task): channel_sequence plus pilot noise
     keyed only by (seed, snr, shots, sequence), so every method sees the same
-    pilots.  Every CAE runner starts here, so cfg.meta is validated here."""
-    cfg.meta.validate()
+    pilots."""
     for i, h in channel_sequence(cfg):
         task = make_pilot_task(model, h, cfg.sigma2, cfg.shots,
                                cfg.cell_substream("pilots", i),
@@ -331,6 +365,11 @@ def theta_hash(theta: np.ndarray) -> str:
 FINE_TUNE_BLOCK_BYTES = 2 ** 20
 
 
+def _block_width(param_bytes: int) -> int:
+    """Sequences per fine-tune block for a parameter vector of param_bytes."""
+    return max(1, FINE_TUNE_BLOCK_BYTES // param_bytes)
+
+
 def fine_tune_blocks(model: CaeModel, cfg: RunConfig, starts, row):
     """Fine-tune and score each (i, h, task, start theta) of the iterator
     starts; returns [row(i, ser, fine-tuned theta)] in order.  A fine-tune
@@ -339,7 +378,7 @@ def fine_tune_blocks(model: CaeModel, cfg: RunConfig, starts, row):
     block is pulled.  One-sequence blocks (the paper width, BLAS-bound steps
     that release the GIL) run on a thread per CPU, at most that many in
     flight, while this thread pulls starts and scores them in order."""
-    width = max(1, FINE_TUNE_BLOCK_BYTES // model.params.nbytes)
+    width = _block_width(model.params.nbytes)
     cpus = getattr(os, "sched_getaffinity", None)  # else all of os.cpu_count()
     workers = 1 if width > 1 else len(cpus(0)) if cpus else os.cpu_count() or 1
     if workers > 1:  # imported only here, as it costs 5 ms and 0.6 MB

@@ -2,6 +2,7 @@
 
 import os
 import platform
+import re
 import subprocess
 import sys
 import threading
@@ -104,6 +105,13 @@ def test_qpsk_ser_noiseless_and_perfect_csi_oracle():
                        rngmod.substream(3, "qpsk-csi"), perfect_csi=True)
     sigma = np.sqrt(want * (1 - want) / n_eval)
     assert abs(ser - want) < 3 * sigma
+
+
+def test_qpsk_ser_rejects_an_empty_evaluation():
+    # an empty evaluation scored NaN, so run_qpsk_mle printed [nan, nan]
+    h = rayleigh_sample(rngmod.substream(3, "qpsk-empty"), 2)
+    with pytest.raises(ValueError, match="n_eval must be >= 1"):
+        qpsk_mle_ser(h, NoiseModel(0.1), 1, 4, 0, rngmod.substream(3, "e"))
 
 
 def test_qpsk_ser_improves_with_pilots():
@@ -237,6 +245,30 @@ def test_joint_spends_the_meta_budget_and_oml_the_chunks_that_reach_a_row(
     assert sum(joint) == meta.outer_iters
     assert joint == [3, 2, 2]
     assert oml == [3, 2]
+
+
+@pytest.mark.parametrize("runner", [online_run, run_scratch_cae,
+                                    run_joint_cae, run_qpsk_mle])
+@pytest.mark.parametrize("name, bad, message", [
+    ("shots", True, "RunConfig.shots must be an integer, got True"),
+    ("query_shots", 0, "query_shots must be >= 1 when set"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("snr_db", float("nan"), "snr_db entry nan has no finite noise variance")])
+def test_runners_reject_an_invalid_run_config(monkeypatch, runner, name, bad,
+                                              message):
+    # the library path skips ExperimentConfig: a bool ran as 1 shot, a zero
+    # query size ran, a negative seed died in numpy's seeding and a NaN SNR
+    # was blamed on the fine-tune
+    def train(*args, **kwargs):
+        raise AssertionError("trained on an invalid config")
+
+    monkeypatch.setattr(metalearn, "run_sgd", train)
+    monkeypatch.setattr(baselines, "run_sgd", train)
+    cfg = RunConfig(k=2, n_ch=1, n_sequences=2, n_eval=50, hidden=8,
+                    meta=MetaConfig(outer_iters=2, finetune_iters=3),
+                    **{name: bad})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        runner(cfg)
 
 
 def test_run_qpsk_requires_matching_dims():

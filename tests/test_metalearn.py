@@ -1,13 +1,16 @@
 """Unit tests for MAML loops, the task buffer, and the online protocol."""
 
+import importlib.util
+import inspect
+import os
 from dataclasses import replace
 from itertools import product, repeat
 
 import numpy as np
 import pytest
 
-from omlcae import metalearn, rng as rngmod
-from omlcae.cae import CaeModel, loss_and_grads
+from omlcae import cae, metalearn, rng as rngmod
+from omlcae.cae import CaeModel, loss_and_grads, pilot_batch
 from omlcae.channel import rayleigh_sample, snr_to_sigma2
 from omlcae.cae import pipeline_loss_grads
 from omlcae.metalearn import (OUTER_RULES, MetaConfig, RunConfig, Task,
@@ -64,6 +67,12 @@ def test_buffer_fifo_semantics():
     assert len(buf) == 4 and buf[0] is tasks[0]
     with pytest.raises(ValueError):
         TaskBuffer(0)
+    # a float capacity was truncated (2.5 to 2) and a bool taken as 1
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match=f"capacity must be an integer, "
+                                             f"got {bad!r}"):
+            TaskBuffer(bad)
+    assert TaskBuffer(np.int64(2)).maxlen == 2
 
 
 def test_inner_adapt_alpha_zero_and_purity():
@@ -113,6 +122,81 @@ def test_stacked_fine_tune_matches_separate_inner_adapt_bitwise(hidden, shots):
         want = [inner_adapt(model, model.params, t, 4, 0.05)
                 for t in tasks[:3]]
         assert np.array_equal(got, np.stack(want))
+
+
+@pytest.mark.parametrize("hidden", [64, 256])
+def test_run_sgd_matches_the_two_pass_update_bitwise(monkeypatch, hidden):
+    # paper-width steps update each layer inside the backward, desk-width
+    # ones the whole array after it; both equal a loop of the two-pass
+    # update, from a (P,) theta broadcast over a stack and from a (T, P) one
+    real, steps = pipeline_loss_grads, []
+
+    def traced(*args, **kwargs):
+        steps.append(args[8] if len(args) > 8 else None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metalearn, "pipeline_loss_grads", traced)
+    for dtype in (np.float64, np.float32):
+        model = CaeModel.build(4, 2, rngmod.substream(2, "sgd", hidden),
+                               hidden=hidden, dtype=dtype)
+        rng = rngmod.substream(3, "sgd", hidden)
+        tasks = [make_pilot_task(model, rayleigh_sample(rng, 2), 0.3, 1, rng)
+                 for _ in range(3)]
+        batch = onehot, noise, h, rep = _stack_tasks(model, tasks, "support",
+                                                     dtype)
+        neg_lr = dtype(-0.05)
+        for theta in (model.params,
+                      np.stack([model.init_like(rng) for _ in tasks])):
+            want = theta
+            for _ in range(3):
+                _, grads = real(model, want, onehot, noise, h,
+                                want_loss=False, repeats=rep)
+                grads *= neg_lr
+                grads += want
+                want = grads
+            steps.clear()
+            got = run_sgd(model, theta, repeat(batch, 3), 0.05)
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
+            assert steps == 3 * [neg_lr if hidden == 256 else None]
+
+
+def _tracing():
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("hidden", [64, 256])
+def test_engine_calls_bind_to_the_tracer_signature(monkeypatch, hidden):
+    # perfbench/tracing.py reads every pipeline_loss_grads call through
+    # _pipeline_shape's signature; a keyword it does not know would stop a
+    # traced benchmark run with LayerMissing
+    signature = inspect.signature(_tracing()._pipeline_shape)
+    real, calls = pipeline_loss_grads, []
+
+    def bound(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metalearn, "pipeline_loss_grads", bound)
+    monkeypatch.setattr(cae, "pipeline_loss_grads", bound)
+    model = CaeModel.build(4, 2, rngmod.substream(4, "bind"), hidden=hidden)
+    rng = rngmod.substream(5, "bind")
+    tasks = [make_pilot_task(model, rayleigh_sample(rng, 2), 0.3, 1, rng)
+             for _ in range(2)]
+    run_sgd(model, model.params, [pilot_batch(model, tasks[0].support,
+                                              tasks[0].h, np.float64)], 0.05)
+    for rule in OUTER_RULES:
+        outer_meta_step(model, model.params, tasks,
+                        MetaConfig(adapt_steps=2, outer_rule=rule),
+                        AdamState.fresh(model.n_params), 1e-3)
+    loss_and_grads(model, tasks[0].support, tasks[0].h)
+    # one SGD step; 2 Reptile steps; 2 FOMAML steps and its query pass; one
+    assert len(calls) == 7
 
 
 def test_inner_adapt_descends_support_loss():
