@@ -119,9 +119,9 @@ def joint_starts(cfg: RunConfig, model: CaeModel):
     forward.  For compute parity with online_starts, cfg.meta.outer_iters is
     the whole run's joint budget, split over the sequences by the same
     schedule."""
+    sample_rng = cfg.cell_substream("joint-sample")  # validates cfg first
     chunks = _chunk_schedule(cfg.meta.outer_iters, cfg.n_sequences)
     theta, store = model.params, []
-    sample_rng = cfg.cell_substream("joint-sample")
     for i, h, task in task_sequence(cfg, model):
         store.append(task)
         theta = _joint_train(model, theta, store, chunks[i - 1],

@@ -4,7 +4,7 @@ simulated channel, and Monte-Carlo SER evaluation.
 
 Backbone architecture (hidden width 256 by default):
     encoder: 2^k -> 256 -> 256 -> 2*n_ch (linear)
-    decoder: 2*n_ch -> 256 -> 256 -> 256 -> 2^k (softmax)
+    decoder: 2*n_ch -> 256 -> 256 -> 256 -> 2^k (logits; softmax here)
 
 Messages are 1-based symbols m in {1, ..., 2^k}.  Encoder and decoder
 parameters are concatenated into one flat vector with a fixed split point so
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import NoiseModel, awgn, cmul, conj
-from .numerics import ACT_SOFTMAX, MlpSpec, init_params, mlp_backward, mlp_forward
+from .numerics import MlpSpec, init_params, mlp_backward, mlp_forward, softmax
 
 # guards the power-normalization sqrt at all-zero output; small enough that
 # the relative power error eps/energy stays below 1e-9 for any realistic
@@ -42,8 +42,7 @@ class CaeModel:
               dtype=np.float64) -> "CaeModel":
         m = 2 ** k
         enc = MlpSpec((m, hidden, hidden, 2 * n_ch))
-        dec = MlpSpec((2 * n_ch, hidden, hidden, hidden, m),
-                      output_activation=ACT_SOFTMAX)
+        dec = MlpSpec((2 * n_ch, hidden, hidden, hidden, m))
         theta = np.concatenate([init_params(enc, rng, dtype=dtype),
                                 init_params(dec, rng, dtype=dtype)])
         return cls(k=k, n_ch=n_ch, encoder_spec=enc, decoder_spec=dec,
@@ -116,9 +115,9 @@ def decode(model: CaeModel, y: np.ndarray, theta: np.ndarray = None) -> np.ndarr
     theta = model.params if theta is None else theta
     if y.shape[-1] != 2 * model.n_ch:
         raise ValueError(f"received length {y.shape[-1]} != {2 * model.n_ch}")
-    probs, _ = mlp_forward(model.decoder_spec, theta[..., model.split:], y,
-                           keep_cache=False)
-    return probs
+    logits, _ = mlp_forward(model.decoder_spec, theta[..., model.split:], y,
+                            keep_cache=False)
+    return softmax(logits)
 
 
 def codebook(model: CaeModel, theta: np.ndarray = None) -> np.ndarray:
@@ -186,9 +185,8 @@ def pipeline_loss_grads(model: CaeModel, theta: np.ndarray, onehot: np.ndarray,
     else:
         x_full, labels = x, onehot
     y = cmul(h, x_full) + noise
-    # decoder forward up to logits (softmax is fused into the loss)
-    probs, dec_cache = mlp_forward(dec_spec, theta[..., split:], y)
-    logits = dec_cache[2][-1]  # pre-activations of the final (softmax) layer
+    logits, dec_cache = mlp_forward(dec_spec, theta[..., split:], y)
+    probs = softmax(logits)
 
     if want_loss:
         m = logits.max(axis=-1, keepdims=True)

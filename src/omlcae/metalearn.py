@@ -38,6 +38,7 @@ constellation export) pulls online_starts alone.
 """
 
 import hashlib
+import numbers
 import os
 from collections import deque
 from contextlib import nullcontext
@@ -288,14 +289,18 @@ class RunConfig:
         return snr_to_sigma2(self.snr_db)
 
     def cell_substream(self, purpose, *extra) -> np.random.Generator:
-        # keyed by (seed, purpose, snr, shots, ...), never by method
-        return rngmod.substream(self.seed, purpose, self.snr_db, self.shots,
-                                *extra)
+        # keyed by (seed, purpose, float snr, shots, ...), never by method
+        self.validate()
+        return rngmod.substream(self.seed, purpose, float(self.snr_db),
+                                self.shots, *extra)
 
     def validate(self):
-        """Raise ValueError naming a field no cell can run with.  A runner
-        starts from build_model or channel_sequence, and both call this."""
+        """Raise ValueError naming a field no cell can run with.  Every draw
+        of a cell goes through cell_substream, which calls this first."""
         require_ints(self)
+        snr = self.snr_db  # a bool is an int, but no SNR
+        if isinstance(snr, bool) or not isinstance(snr, numbers.Real):
+            raise ValueError(f"RunConfig.snr_db is not a real number: {snr!r}")
         if self.k < 1 or self.n_ch < 1:
             raise ValueError("k and n_ch must be >= 1")
         if self.shots < 1:
@@ -303,7 +308,7 @@ class RunConfig:
         try:  # +inf dB is the noiseless channel; below about -3083 dB,
             NoiseModel(self.sigma2)  # 10 ** (-snr / 10) overflows
         except (OverflowError, ValueError):
-            raise ValueError(f"snr_db entry {self.snr_db!r} has no finite "
+            raise ValueError(f"snr_db entry {snr!r} has no finite "
                              f"noise variance sigma2 >= 0") from None
         if self.n_eval < 1 or self.n_sequences < 1 or self.hidden < 1:
             raise ValueError("n_eval, n_sequences and hidden must be >= 1")
@@ -316,16 +321,13 @@ class RunConfig:
         self.meta.validate()
 
     def build_model(self) -> CaeModel:
-        self.validate()
         return CaeModel.build(self.k, self.n_ch, self.cell_substream("init"),
                               hidden=self.hidden, dtype=self.dtype)
 
 
 def channel_sequence(cfg: RunConfig):
     """Yield (sequence_index, h): the cell's AR(1) channel realizations,
-    drawn from the ("channel", snr, shots) substream alone, after
-    cfg.validate()."""
-    cfg.validate()
+    drawn from the ("channel", snr, shots) substream alone."""
     fading = FadingProcess(cfg.rho, cfg.n_ch, cfg.cell_substream("channel"),
                            dtype=cfg.dtype)
     for i in range(1, cfg.n_sequences + 1):
@@ -434,10 +436,10 @@ def online_starts(cfg: RunConfig, model: CaeModel):
     with the sequence loop form one continuous meta-training run over the
     evolving buffer.  Sequence i - 1's chunk runs when sequence i's start is
     pulled, so the last sequence's chunk reaches no start and never runs."""
+    sample_rng = cfg.cell_substream("task-sampling")  # validates cfg first
     chunks = _chunk_schedule(cfg.meta.outer_iters, cfg.n_sequences)
     theta = model.params
     buffer = TaskBuffer(cfg.meta.buffer_capacity)
-    sample_rng = cfg.cell_substream("task-sampling")
     adam = AdamState.fresh(theta.shape[-1], dtype=theta.dtype)
     for i, h, task in task_sequence(cfg, model):
         if i > 1 and chunks[i - 2] > 0:

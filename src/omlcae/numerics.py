@@ -5,10 +5,9 @@ for each layer, the weight matrix (row-major, shape out x in) followed by the
 bias vector.  Flat storage keeps parameter arithmetic (SGD / Adam / MAML
 updates) trivial and layout-stable.
 
-Hidden layers are leaky-ReLU; the output layer is linear or softmax.
-Backprop starts from the gradient of the last layer's pre-activation, which
-is the output gradient of a linear head and the fused softmax+cross-entropy
-gradient of a softmax head.  mlp_forward keeps each layer's input and
+Hidden layers are leaky-ReLU, and there is no output head: mlp_forward
+returns, and mlp_backward starts from, the last layer's pre-activation (cae
+applies the decoder's softmax).  mlp_forward keeps each layer's input and
 pre-activation for mlp_backward; inference (cae.encode and cae.decode)
 passes keep_cache=False and holds one layer's arrays of a block of at most
 INFER_BLOCK_ROWS rows at a time.
@@ -30,17 +29,12 @@ import numpy as np
 
 LEAKY_SLOPE = 0.01  # negative slope of the leaky rectifier
 
-ACT_LINEAR = "linear"
-ACT_SOFTMAX = "softmax"
-_OUTPUT_ACTS = (ACT_LINEAR, ACT_SOFTMAX)
-
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Architecture of a dense network with leaky-ReLU hidden layers."""
+    """Dense network: leaky-ReLU hidden layers, a linear output layer."""
 
     layer_dims: tuple
-    output_activation: str = ACT_LINEAR
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.layer_dims)
@@ -49,11 +43,6 @@ class MlpSpec:
             raise ValueError("MlpSpec needs at least 2 layer_dims")
         if any(d < 1 for d in dims):
             raise ValueError(f"layer_dims must be >= 1, got {dims}")
-        if self.output_activation not in _OUTPUT_ACTS:
-            raise ValueError(
-                f"output_activation must be one of {_OUTPUT_ACTS}, "
-                f"got {self.output_activation!r}"
-            )
 
     @cached_property
     def n_params(self) -> int:
@@ -146,9 +135,10 @@ def mlp_forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray,
     """Forward pass.
 
     x carries a row axis and any leading task axes, (..., B, d0); a 1-D x
-    raises ValueError.  Returns (output, cache); the cache holds the
-    unpacked layers, per-layer inputs and pre-activations, and is consumed
-    by mlp_backward.  keep_cache=False returns (output, None) and holds one
+    raises ValueError.  Returns (output, cache): the output is the last
+    layer's pre-activation, the cache holds the unpacked layers, per-layer
+    inputs and pre-activations (the last is the output), and mlp_backward
+    consumes it.  keep_cache=False returns (output, None) and holds one
     activation of a block of at most INFER_BLOCK_ROWS rows: each layer's
     input is dropped once its product is formed, so inference needs about
     two block activations (per stacked slice), not two per layer.  The
@@ -176,8 +166,6 @@ def mlp_forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray,
                 preacts.append(z)
             if i < last:
                 z = leaky_relu(z)
-            elif spec.output_activation == ACT_SOFTMAX:
-                z = softmax(z)
         blocks.append(z)
     out = blocks[0] if n == 1 else np.concatenate(blocks, axis=-2)
     return out, (layers, inputs, preacts) if keep_cache else None
@@ -188,11 +176,11 @@ def mlp_backward(spec: MlpSpec, cache, output_grad: np.ndarray,
                  want_input_grad: bool = True, step=None):
     """Exact reverse-mode gradient through the network.
 
-    output_grad is dL/d(pre-activation of the last layer): the output
-    gradient of a linear head, or what a fused softmax+cross-entropy loss
-    produces for a softmax head.  Returns (param_grad, input_grad)
-    with the same leading axes as the forward inputs.  A preallocated
-    param-gradient array (or view) may be supplied via ``out``.
+    output_grad is dL/d(forward output), the last layer's pre-activation
+    (softmax(output) - labels, over the batch size, for a mean
+    softmax+cross-entropy loss).  Returns (param_grad, input_grad) with the
+    same leading axes as the forward inputs.  A preallocated param-gradient
+    array (or view) may be supplied via ``out``.
 
     reduce_lead=True sums the parameter gradient over the leading (stacked
     task) axes into a single flat vector, which folds the per-task weight

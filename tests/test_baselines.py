@@ -247,18 +247,29 @@ def test_joint_spends_the_meta_budget_and_oml_the_chunks_that_reach_a_row(
     assert oml == [3, 2]
 
 
-@pytest.mark.parametrize("runner", [online_run, run_scratch_cae,
-                                    run_joint_cae, run_qpsk_mle])
+def _with_model(runner):
+    # a model built from a valid cell: the runner alone can check its config
+    def run(cfg):
+        return runner(cfg, model=RunConfig(k=2, n_ch=1, hidden=8).build_model())
+    return run
+
+
+@pytest.mark.parametrize("runner", [
+    online_run, run_scratch_cae, run_joint_cae, run_qpsk_mle,
+    pytest.param(_with_model(online_run), id="online_run-model"),
+    pytest.param(_with_model(run_joint_cae), id="run_joint_cae-model")])
 @pytest.mark.parametrize("name, bad, message", [
     ("shots", True, "RunConfig.shots must be an integer, got True"),
     ("query_shots", 0, "query_shots must be >= 1 when set"),
     ("seed", -1, "seed must be >= 0, got -1"),
-    ("snr_db", float("nan"), "snr_db entry nan has no finite noise variance")])
+    ("snr_db", float("nan"), "snr_db entry nan has no finite noise variance"),
+    ("snr_db", True, "RunConfig.snr_db is not a real number: True")])
 def test_runners_reject_an_invalid_run_config(monkeypatch, runner, name, bad,
                                               message):
-    # the library path skips ExperimentConfig: a bool ran as 1 shot, a zero
-    # query size ran, a negative seed died in numpy's seeding and a NaN SNR
-    # was blamed on the fine-tune
+    # the library path skips ExperimentConfig: a bool ran as 1 shot (or at
+    # 1 dB), a zero query size ran, a negative seed died in numpy's seeding
+    # (with a given model, also in online_run and run_joint_cae) and a NaN
+    # SNR was blamed on the fine-tune
     def train(*args, **kwargs):
         raise AssertionError("trained on an invalid config")
 

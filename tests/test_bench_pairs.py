@@ -1,6 +1,7 @@
 """tools/bench_pairs.py rejects pair counts its quartiles cannot summarize
 and sides of which only one holds bytecode, names the run that failed,
-records which commits it compared, and prints a per-metric summary."""
+records which commits it compared, and prints a per-metric summary judged
+by BENCHMARK.json's directions and bounds."""
 
 import importlib.util
 import json
@@ -46,6 +47,14 @@ def test_failed_run_names_side_checkout_workload_and_seed(tmp_path):
     assert not out.exists()
 
 
+def write_benchmark(root):
+    # the end-to-end declarations bench_pairs reads from its checkout's root
+    (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "seq_per_s", "better": "higher", "bound": 0.25},
+        {"name": "setup_s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}))
+
+
 def load_bench_pairs():
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", os.path.join(ROOT, "tools", "bench_pairs.py"))
@@ -64,6 +73,7 @@ def test_bytecode_on_one_side_only_fails_before_any_run(tmp_path, monkeypatch,
         (checkout / "perfbench").mkdir()
     cache = sides[cached_side] / "src" / "omlcae" / "__pycache__"
     cache.mkdir()
+    write_benchmark(sides["after"])
     monkeypatch.setattr(bench_pairs, "ROOT", str(sides["after"]))
 
     def no_run(*args):
@@ -109,6 +119,7 @@ def test_output_names_each_sides_commit_and_dirty_flag(tmp_path, monkeypatch):
     assert bench_pairs.git_state(str(repo)) == {"head": head, "dirty": True}
 
     # the after side is the tool's own checkout; runs are stubbed out
+    write_benchmark(repo)
     monkeypatch.setattr(bench_pairs, "ROOT", str(repo))
     monkeypatch.setattr(bench_pairs, "run_once",
                         lambda side, *args: {"seq_per_s": 1.0})
@@ -123,23 +134,42 @@ def test_output_names_each_sides_commit_and_dirty_flag(tmp_path, monkeypatch):
 def test_prints_each_metrics_medians_and_after_wins(tmp_path, monkeypatch,
                                                    capsys):
     bench_pairs = load_bench_pairs()
+    write_benchmark(tmp_path)
     monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
     # seeds 1-3 run in pair order; the after side wins seq_per_s in pairs 2
-    # and 3, and peak_rss_mb (lower is better) in pair 1 only
-    values = {("before", 1): (10.0, 43.0), ("after", 1): (9.0, 42.5),
-              ("before", 2): (11.0, 43.0), ("after", 2): (13.5, 43.5),
-              ("before", 3): (12.0, 43.0), ("after", 3): (14.0, 43.0)}
+    # and 3, peak_rss_mb (lower is better) in pair 1 only and setup_s in
+    # none, whose median rises by 50%, beyond its bound of 25%
+    values = {("before", 1): (10.0, 43.0, 0.1), ("after", 1): (9.0, 42.5, 0.15),
+              ("before", 2): (11.0, 43.0, 0.1), ("after", 2): (13.5, 43.5, 0.12),
+              ("before", 3): (12.0, 43.0, 0.1), ("after", 3): (14.0, 43.0, 0.2)}
 
     def run_once(side, checkout, workload, seed, seconds):
-        seq, rss = values[side, seed]
-        return {"seq_per_s": seq, "peak_rss_mb": rss}
+        return dict(zip(("seq_per_s", "peak_rss_mb", "setup_s"),
+                        values[side, seed]))
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "bench.json"
     bench_pairs.main(["--before", str(tmp_path), "--workload", "grid_desk",
                       "--pairs", "3", "--out", str(out)])
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2:] == [
-        "grid_desk seq_per_s: 11 -> 13.5 (after wins 2/3)",
-        "grid_desk peak_rss_mb: 43 -> 43 (after wins 1/3)"]
-    assert json.loads(out.read_text())["grid_desk"]["pairs"] == 3
+    assert lines[-3:] == [
+        "grid_desk seq_per_s: 11 -> 13.5 (before quartiles 10.5-11.5, "
+        "+22.7%, after wins 2/3)",
+        "grid_desk peak_rss_mb: 43 -> 43 (before quartiles 43-43, +0.0%, "
+        "after wins 1/3)",
+        "grid_desk setup_s: 0.1 -> 0.15 (before quartiles 0.1-0.1, +50.0%, "
+        "after wins 0/3, beyond bound)"]
+    entry = json.loads(out.read_text())["grid_desk"]
+    assert entry["pairs"] == 3
+    assert [entry["metrics"][name]["beyond_bound"] for name in
+            ("seq_per_s", "peak_rss_mb", "setup_s")] == [False, False, True]
+    # a higher-is-better metric that falls by more than its bound
+    for seed in (1, 2, 3):
+        seq, *rest = values["before", seed]
+        values["after", seed] = (seq * 0.7, *rest)
+    bench_pairs.main(["--before", str(tmp_path), "--workload", "oml_desk",
+                      "--pairs", "3", "--out", str(out)])
+    assert capsys.readouterr().out.splitlines()[-3] == (
+        "oml_desk seq_per_s: 11 -> 7.7 (before quartiles 10.5-11.5, "
+        "-30.0%, after wins 0/3, beyond bound)")
+

@@ -85,6 +85,35 @@ def test_config_validation():
     tiny_cfg("/tmp", snr_db=(5.0, float("inf"))).validate()
 
 
+def test_an_integer_snr_is_the_same_cell_as_its_float(tmp_path):
+    # the SNR keyed the substreams as str(5) and str(5.0): two cells, and two
+    # metrics.csv rows with one key; a bool SNR ran at 1 dB
+    # (5 == 5.0, so the two cells are a list, not a dict keyed by SNR)
+    cells = [RunConfig(k=2, n_ch=1, snr_db=snr, n_sequences=3, hidden=8)
+             for snr in (5, 5.0)]
+    model = cells[1].build_model()
+    assert np.array_equal(cells[0].build_model().params, model.params)
+    tasks = [list(metalearn.task_sequence(cfg, model)) for cfg in cells]
+    assert len(tasks[0]) == len(tasks[1]) == 3
+    for (i, h, task), (j, h_f, task_f) in zip(*tasks):
+        assert i == j and np.array_equal(h, h_f)
+        assert np.array_equal(task.support, task_f.support)
+        assert np.array_equal(task.query, task_f.query)
+    csv = []
+    for name, snr in (("int", 5), ("float", 5.0)):
+        out = tmp_path / name
+        run_experiment(tiny_cfg(out, snr_db=(snr,), warmup=0,
+                                meta=MetaConfig(outer_iters=2,
+                                                finetune_iters=3),
+                                methods=("cae", "qpsk_mle"), n_eval=200))
+        csv.append((out / "metrics.csv").read_bytes())
+    assert csv[0] == csv[1]
+    with pytest.raises(ValueError, match="snr_db is not a real number: True"):
+        RunConfig(snr_db=True).validate()
+    with pytest.raises(ValueError, match="snr_db is not a real number: True"):
+        tiny_cfg(tmp_path, snr_db=(True,)).validate()
+
+
 META_INTS = ("adapt_steps", "outer_iters", "finetune_iters",
              "tasks_per_update", "lr_step_size", "buffer_capacity")
 

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from omlcae import rng as rngmod
-from omlcae.numerics import (ACT_LINEAR, ACT_SOFTMAX, LEAKY_SLOPE, AdamState,
-                             MlpSpec, _matmul, adam_step, adam_step_inplace,
-                             finite_diff_grad, init_params, leaky_relu,
-                             mlp_backward, mlp_forward, softmax, step_lr,
-                             unpack_params)
+from omlcae.numerics import (LEAKY_SLOPE, AdamState, MlpSpec, _matmul,
+                             adam_step, adam_step_inplace, finite_diff_grad,
+                             init_params, leaky_relu, mlp_backward,
+                             mlp_forward, softmax, step_lr, unpack_params)
 
 
 def softmax_cross_entropy(logits: np.ndarray, label: int):
@@ -40,8 +39,6 @@ def test_spec_validation():
         MlpSpec((4,))
     with pytest.raises(ValueError):
         MlpSpec((4, 0, 2))
-    with pytest.raises(ValueError):
-        MlpSpec((4, 2), output_activation="tanh")
 
 
 def test_init_params_bounds_and_determinism():
@@ -69,9 +66,9 @@ def test_leaky_relu_slope():
 
 
 def test_forward_zero_params_softmax_uniform():
-    spec = MlpSpec((3, 5, 4), output_activation=ACT_SOFTMAX)
+    spec = MlpSpec((3, 5, 4))
     out, _ = mlp_forward(spec, np.zeros(spec.n_params), np.array([[1.0, -2.0, 0.5]]))
-    assert np.allclose(out, 0.25, atol=1e-12)
+    assert np.allclose(softmax(out), 0.25, atol=1e-12)
 
 
 def test_forward_hidden_activation_values():
@@ -110,41 +107,45 @@ def _reference_softmax(z):
 
 
 def _reference_forward(spec, theta, a):
-    # the layer math written out with a fresh array per operation
-    layers = unpack_params(spec, theta)
-    for i, (w, b) in enumerate(layers):
+    # the layer math written out with a fresh array per operation; the
+    # network has no head, so it ends at the last pre-activation
+    for w, b in unpack_params(spec, theta):
         z = _matmul(a, w.swapaxes(-1, -2)) + b[..., None, :]
-        if i < len(layers) - 1:
-            a = np.maximum(z, z.dtype.type(LEAKY_SLOPE) * z)
-        elif spec.output_activation == ACT_SOFTMAX:
-            a = _reference_softmax(z)
-        else:
-            a = z
-    return a
+        a = np.maximum(z, z.dtype.type(LEAKY_SLOPE) * z)
+    return z
 
 
 def test_cache_free_forward_bitwise_equals_cached():
     rng = rngmod.substream(5, "nocache")
+    spec = MlpSpec((6, 32, 32, 4))
     for dtype in (np.float64, np.float32):
-        for act in (ACT_LINEAR, ACT_SOFTMAX):
-            spec = MlpSpec((6, 32, 32, 4), output_activation=act)
-            thetas = (init_params(spec, rng, dtype=dtype),
-                      np.stack([init_params(spec, rng, dtype=dtype)
-                                for _ in range(3)]))
-            for theta in thetas:
-                for shape in ((1, 6), (40, 6), (3, 40, 6)):
-                    x = rng.normal(size=shape).astype(dtype)
-                    cached, cache = mlp_forward(spec, theta, x)
-                    free, none = mlp_forward(spec, theta, x, keep_cache=False)
-                    assert none is None and cache is not None
-                    assert free.dtype == cached.dtype == dtype
-                    assert np.array_equal(free, cached)
-                    assert np.array_equal(cached,
-                                          _reference_forward(spec, theta, x))
-                    if act == ACT_SOFTMAX:
-                        # the softmax left the cached logits intact
-                        want = _reference_softmax(cache[2][-1])
-                        assert np.array_equal(cached, want)
+        thetas = (init_params(spec, rng, dtype=dtype),
+                  np.stack([init_params(spec, rng, dtype=dtype)
+                            for _ in range(3)]))
+        for theta in thetas:
+            for shape in ((1, 6), (40, 6), (3, 40, 6)):
+                x = rng.normal(size=shape).astype(dtype)
+                cached, cache = mlp_forward(spec, theta, x)
+                free, none = mlp_forward(spec, theta, x, keep_cache=False)
+                assert none is None and cache is not None
+                assert free.dtype == cached.dtype == dtype
+                assert np.array_equal(free, cached)
+                assert np.array_equal(cached,
+                                      _reference_forward(spec, theta, x))
+                # the output is the last pre-activation mlp_backward starts at
+                assert cached is cache[2][-1]
+
+
+def test_softmax_matches_reference_and_keeps_its_input():
+    rng = rngmod.substream(5, "softmax")
+    for dtype in (np.float64, np.float32):
+        for shape in ((1, 4), (40, 16), (3, 40, 16)):
+            logits = (rng.normal(size=shape) * 10).astype(dtype)
+            before = logits.copy()
+            probs = softmax(logits)
+            assert probs.dtype == dtype
+            assert np.array_equal(probs, _reference_softmax(logits))
+            assert np.array_equal(logits, before)
 
 
 def test_backward_zero_grad():
@@ -169,19 +170,19 @@ def test_backward_single_linear_layer_closed_form():
 
 
 def test_backward_matches_finite_differences():
-    spec = MlpSpec((4, 6, 5, 3), output_activation=ACT_SOFTMAX)
+    # the loss applies the softmax head to the forward's logits
+    spec = MlpSpec((4, 6, 5, 3))
     rng = rngmod.substream(4, "fd")
     theta = init_params(spec, rng)
     x = rng.normal(size=(1, 4))
     label = 1
 
     def loss_fn(th):
-        out, cache = mlp_forward(spec, th, x)
-        return softmax_cross_entropy(cache[2][-1][0], label)[0]
+        logits, _ = mlp_forward(spec, th, x, keep_cache=False)
+        return softmax_cross_entropy(logits[0], label)[0]
 
-    out, cache = mlp_forward(spec, theta, x)
-    logits = cache[2][-1][0]
-    _, g_logits = softmax_cross_entropy(logits, label)
+    logits, cache = mlp_forward(spec, theta, x)
+    _, g_logits = softmax_cross_entropy(logits[0], label)
     pg, _ = mlp_backward(spec, cache, g_logits[None, :])
     fd = finite_diff_grad(loss_fn, theta, eps=1e-5)
     mask = np.abs(pg) > 1e-8

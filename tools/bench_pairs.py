@@ -9,14 +9,18 @@ pair runs ``perfbench/run.py --trace 0`` once in each checkout with the same
 seed (the pair's index), alternating which side runs first.  The output file
 gets one entry per workload: every run's end-to-end metrics, each side's
 median and quartiles, and for each metric how many pairs the after side
-won; the script then prints one line per metric, ``<workload> <metric>:
-<before median> -> <after median> (after wins k/n)``.  Quartiles need at
-least 2 pairs; the default 10 is the fewest on which a gain may be
-claimed.  Entries for other workloads already in the file are kept.  Each
-entry also records what each side ran: its checkout's ``git rev-parse
-HEAD`` and whether tracked files differ from it, or null outside git.  A
-failed run stops the script with a message naming its side, checkout,
-workload and seed, and the tail of its stderr.
+won, the relative change of the median and whether that change is worse
+than the metric's bound.  Each metric's direction ("better") and bound come
+from BENCHMARK.json at the root of this checkout, which is only read.  The
+script then prints one line per metric, ``<workload> <metric>: <before
+median> -> <after median> (before quartiles q1-q3, <change>%, after wins
+k/n)``, ending in ``, beyond bound`` when the change is worse than the
+bound.  Quartiles need at least 2 pairs; the default 10 is the fewest on
+which a gain may be claimed.  Entries for other workloads already in the
+file are kept.  Each entry also records what each side ran: its
+checkout's ``git rev-parse HEAD`` and whether tracked files differ from
+it, or null outside git.  A failed run stops the script with a message
+naming its side, checkout, workload and seed, and the tail of its stderr.
 
 Every run gets ``PYTHONDONTWRITEBYTECODE=1``, so runs leave no bytecode
 behind.  Imports from cached bytecode are faster, which shows in
@@ -26,13 +30,13 @@ behind.  Imports from cached bytecode are faster, which shows in
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-LOWER_IS_BETTER = {"setup_s", "peak_rss_mb", "ser_mean"}
 
 
 def run_once(side, checkout, workload, seed, seconds):
@@ -86,6 +90,20 @@ def summary(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def end_to_end_metrics():
+    """{name: declaration} of the end-to-end metrics in ROOT's
+    BENCHMARK.json; a declaration holds "better" ("higher" or "lower") and
+    "bound", the largest relative change for the worse it allows."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        return {m["name"]: m for m in json.load(f)["end_to_end"]}
+
+
+def relative_change(before, after):
+    if before == 0:
+        return 0.0 if after == 0 else math.copysign(math.inf, after)
+    return (after - before) / abs(before)
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--before", required=True, help="root of the other checkout")
@@ -94,6 +112,7 @@ def main(argv=None):
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
+    declared = end_to_end_metrics()
     sides = {"before": os.path.abspath(args.before), "after": ROOT}
     runs = {"before": [], "after": []}
     cached = {side: bytecode_dirs(checkout) for side, checkout in sides.items()}
@@ -113,11 +132,14 @@ def main(argv=None):
     for name in runs["after"][0]:
         before = [r[name] for r in runs["before"]]
         after = [r[name] for r in runs["after"]]
-        sign = -1 if name in LOWER_IS_BETTER else 1
-        metrics[name] = {
+        sign = -1 if declared[name]["better"] == "lower" else 1
+        m = metrics[name] = {
             "before": summary(before), "after": summary(after),
             "after_wins": sum(sign * (a - b) > 0 for a, b in zip(after, before)),
         }
+        m["change"] = relative_change(m["before"]["median"],
+                                      m["after"]["median"])
+        m["beyond_bound"] = -sign * m["change"] > declared[name]["bound"]
     doc = {}
     if os.path.exists(args.out):
         with open(args.out) as f:
@@ -132,9 +154,12 @@ def main(argv=None):
         json.dump(doc, f, indent=1)
         f.write("\n")
     for name, m in metrics.items():
-        print(f"{args.workload} {name}: {m['before']['median']:.6g} -> "
-              f"{m['after']['median']:.6g} (after wins "
-              f"{m['after_wins']}/{args.pairs})")
+        before = m["before"]
+        print(f"{args.workload} {name}: {before['median']:.6g} -> "
+              f"{m['after']['median']:.6g} (before quartiles "
+              f"{before['q1']:.6g}-{before['q3']:.6g}, {m['change']:+.1%}, "
+              f"after wins {m['after_wins']}/{args.pairs}"
+              f"{', beyond bound' if m['beyond_bound'] else ''})")
 
 
 if __name__ == "__main__":
