@@ -13,7 +13,7 @@ if "numpy" in sys.modules and not any(v in os.environ for v in _BLAS_VARS):
                   "cannot apply, so paper-width fine-tunes may oversubscribe "
                   "the cores", RuntimeWarning, stacklevel=2)
 for _var in _BLAS_VARS:
-    os.environ.setdefault(_var, "1")  # read when numpy loads, just below
+    os.environ.setdefault(_var, "1")  # read when numpy first loads
 # glibc would unmap large freed blocks and trim the heap, so each training
 # step faults its new arrays in again: keep them, unless malloc is tuned
 if os.name == "posix" and not any(v in os.environ for v in (
@@ -22,14 +22,5 @@ if os.name == "posix" and not any(v in os.environ for v in (
     _mallopt = getattr(ctypes.CDLL(None), "mallopt", lambda *_: 0)
     _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, 32 MiB; ints pass as C int
     _mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD, 64 MiB
-from .cae import CaeModel, decode, encode, evaluate_ser
-from .channel import FadingProcess, NoiseModel, rayleigh_sample, snr_to_sigma2
-from .harness import (ExperimentConfig, MetricsRecord, efficiency_analysis,
-                      export_constellation, parse_config, run_experiment)
-from .metalearn import (MetaConfig, RunConfig, Task, TaskBuffer, buffer_push,
-                        inner_adapt, make_pilot_task, meta_train, online_run,
-                        outer_meta_step)
-from .numerics import (AdamState, MlpSpec, adam_step, finite_diff_grad,
-                       init_params, mlp_backward, mlp_forward, step_lr)
 
 __version__ = "0.1.0"

@@ -486,11 +486,16 @@ def run_python(code, preset):
 @pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "3"}])
 def test_import_gives_one_blas_thread_unless_set(preset):
     # pool threads times BLAS threads must not exceed the cores; a value
-    # the user set wins
-    done = run_python("import os, omlcae; print(*(os.environ[v] for v in "
-                      f"{BLAS_VARS!r}))", preset)
+    # the user set wins.  The package import sets the process up and loads
+    # nothing else: callers import each name from its module
+    done = run_python("import os, sys, omlcae; print(*(os.environ[v] for v "
+                      f"in {BLAS_VARS!r})); print(*sorted(m for m in "
+                      "sys.modules if m == 'numpy' or "
+                      "m.startswith('omlcae.')))", preset)
     want = [preset.get(v, "1") for v in BLAS_VARS]
-    assert done.stdout.split() == want
+    blas, loaded = done.stdout.split("\n")[:2]
+    assert blas.split() == want
+    assert loaded == ""
 
 
 @pytest.mark.parametrize("code, preset, warns", [

@@ -8,8 +8,8 @@ It takes the first two sequences of the paper-profile scratch-CAE cell at
 ``--steps`` steps with ``metalearn.inner_adapt`` three ways: one after the
 other, on a pool of 2 threads, and on a pool of 2 processes started by
 ``fork``.  It exits non-zero unless the three ways give bitwise-equal
-parameters, and prints each way's wall time.  Importing ``omlcae`` before
-numpy gives every way one BLAS thread.
+parameters, and prints each way's wall time and its speed-up over serial.
+Importing ``omlcae`` before numpy gives every way one BLAS thread.
 """
 
 import argparse
@@ -70,9 +70,9 @@ def main(argv=None):
     results = {way: timed(make_pool) for way, make_pool in ways.items()}
     print(f"{len(JOBS)} fine-tunes of {args.steps} steps, width "
           f"{rc.hidden}, {model.n_params} parameters, {WORKERS} workers")
+    serial_s, serial = results["serial"]
     for way, (seconds, _) in results.items():
-        print(f"{way:15s} {seconds:.3f} s")
-    serial = results["serial"][1]
+        print(f"{way:15s} {seconds:.3f} s  {serial_s / seconds:.2f}x serial")
     for way, (_, thetas) in results.items():
         if not all(np.array_equal(a, b) for a, b in zip(serial, thetas)):
             sys.exit(f"{way} fine-tunes differ from the serial ones")
