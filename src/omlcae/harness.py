@@ -49,10 +49,17 @@ METHODS = ("oml_cae", "cae", "joint_cae", "qpsk_mle")
 # cell.  The paper profile keeps first-order MAML at 1e-4: that is the rule
 # the paper-profile tests pin, and a paper cell is too slow to validate
 # Reptile on.
+#
+# The paper profile computes in float32: its 256-wide steps are bound by the
+# BLAS, and float32 halves the bytes each GEMM moves (a scratch-CAE paper
+# cell runs about 1.47x as fast) at mean SERs within 0.01 of float64's
+# (ROADMAP, item 4).  The desk step is bound by Python dispatch, and the
+# acceptance criteria run desk cells, so desk, like the library defaults,
+# stays float64.
 PROFILES = {
     "paper": dict(n_sequences=300, outer_iters=6000, finetune_iters=1000,
                   n_eval=10000, hidden=256, adapt_steps=1, query_shots=None,
-                  outer_lr=1e-4, outer_rule="fomaml"),
+                  outer_lr=1e-4, outer_rule="fomaml", dtype="float32"),
     "desk": dict(n_sequences=60, outer_iters=1500, finetune_iters=300,
                  n_eval=4000, hidden=64, adapt_steps=10, query_shots=1,
                  outer_lr=1e-3, outer_rule="reptile"),
@@ -324,8 +331,8 @@ def parse_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
     Defaults are the paper profile.  Unknown keys are rejected; flag values
     take precedence over file values.  The profile's fields (sequence count,
     iteration budgets, n_eval, hidden width, adapt steps, query shots, outer
-    lr and outer rule) are applied last unless the file or flags set them
-    explicitly.
+    lr, outer rule and, for paper, dtype) are applied last unless the file or
+    flags set them explicitly.
     """
     file_vals, meta_vals = {}, {}
     if path is not None:

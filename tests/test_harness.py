@@ -140,8 +140,13 @@ def test_config_validation_rejects_non_integer_counts(tmp_path, name, bad):
 def test_the_paper_profile_is_the_defaults():
     # omlcae constellation takes its cell from parse_config's paper profile,
     # so the profile, the ExperimentConfig defaults and the RunConfig (and
-    # MetaConfig) defaults must agree
-    assert apply_profile(ExperimentConfig()) == ExperimentConfig()
+    # MetaConfig) defaults must agree in every field but dtype: the paper
+    # profile computes in float32, the library defaults stay float64
+    cfg = apply_profile(ExperimentConfig())
+    assert cfg.dtype == "float32"
+    assert replace(cfg, dtype="float64") == ExperimentConfig()
+    assert cfg.run_config(5.0, 1) == RunConfig(snr_db=5.0, shots=1,
+                                               dtype=np.float32)
     assert ExperimentConfig().run_config(5.0, 1) == RunConfig(snr_db=5.0,
                                                               shots=1)
 
@@ -158,15 +163,18 @@ def test_apply_profile_fills_fields():
     cfg = apply_profile(ExperimentConfig(profile="paper"))
     assert cfg.n_sequences == 300 and cfg.meta.outer_iters == 6000
     assert cfg.hidden == 256 and cfg.meta.adapt_steps == 1
-    assert cfg.dtype == "float64" and cfg.query_shots is None
+    assert cfg.dtype == "float32" and cfg.query_shots is None
     assert cfg.meta.outer_rule == "fomaml" and cfg.meta.outer_lr == 1e-4
     assert cfg.meta == parse_config(None, {"profile": "paper"}).meta
-    # the profiles leave dtype to the config
-    for profile in ("desk", "paper"):
-        cfg = apply_profile(ExperimentConfig(profile=profile, dtype="float32"))
-        assert cfg.dtype == "float32"
+    # desk leaves dtype to the config; paper sets it, as it sets every field
+    # it lists, so only parse_config's explicit values beat it
+    cfg = apply_profile(ExperimentConfig(profile="desk", dtype="float32"))
+    assert cfg.dtype == "float32"
+    assert apply_profile(ExperimentConfig(profile="paper",
+                                          dtype="float64")).dtype == "float32"
+    for profile, dtype in (("desk", "float32"), ("paper", "float64")):
         assert parse_config(None, {"profile": profile,
-                                   "dtype": "float32"}).dtype == "float32"
+                                   "dtype": dtype}).dtype == dtype
 
 
 def test_run_experiment_writes_csvs(tmp_path):
@@ -337,7 +345,16 @@ def test_parse_config_defaults_are_paper_profile():
     assert cfg.profile == "paper"
     assert cfg.meta.inner_lr == 0.05 and cfg.meta.outer_lr == 1e-4
     assert cfg.meta.buffer_capacity == 15 and cfg.meta.outer_iters == 6000
-    assert cfg.n_sequences == 300 and cfg.dtype == "float64"
+    assert cfg.n_sequences == 300 and cfg.dtype == "float32"
+
+
+def test_parse_config_file_dtype_beats_the_paper_profile(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("[experiment]\ndtype = float64\n")
+    cfg = parse_config(str(path), {"profile": "paper"})
+    assert cfg.profile == "paper" and cfg.hidden == 256
+    assert cfg.dtype == "float64"
+    assert cfg.run_config(5.0, 1).dtype is np.float64
 
 
 def test_parse_config_file_and_overrides(tmp_path):

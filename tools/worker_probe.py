@@ -69,7 +69,8 @@ def main(argv=None):
             "threads": lambda: ThreadPoolExecutor(WORKERS)}
     results = {way: timed(make_pool) for way, make_pool in ways.items()}
     print(f"{len(JOBS)} fine-tunes of {args.steps} steps, width "
-          f"{rc.hidden}, {model.n_params} parameters, {WORKERS} workers")
+          f"{rc.hidden}, {model.n_params} {model.params.dtype} parameters, "
+          f"{WORKERS} workers")
     serial_s, serial = results["serial"]
     for way, (seconds, _) in results.items():
         print(f"{way:15s} {seconds:.3f} s  {serial_s / seconds:.2f}x serial")
