@@ -151,8 +151,7 @@ def pilot_batch(model: CaeModel, noise: np.ndarray, h: np.ndarray, dtype):
 
 def pipeline_loss_grads(model: CaeModel, theta: np.ndarray, onehot: np.ndarray,
                         noise: np.ndarray, h: np.ndarray, want_loss: bool = True,
-                        repeats: int = 1, mean_grads: bool = False,
-                        step=None):
+                        repeats: int = 1, mean_grads: bool = False):
     """End-to-end loss and exact parameter gradient, batched.
 
     theta: (P,) or (T, P); onehot: (..., B, 2^k) doubling as the label
@@ -165,13 +164,7 @@ def pipeline_loss_grads(model: CaeModel, theta: np.ndarray, onehot: np.ndarray,
     skips the loss value (returned as None) on gradient-only hot paths.
     mean_grads=True returns the gradient averaged over the leading (stacked
     task) axes as one flat vector, summed inside the layer matrix products.
-    step (a scalar in theta's dtype, -lr for SGD) returns the updated
-    parameters theta + step * grad in place of the gradient, each layer's
-    block updated as mlp_backward forms it: bitwise grad * step + theta.
     """
-    if step is not None and mean_grads:
-        raise ValueError("pipeline_loss_grads: step updates per-task "
-                         "parameters, so it cannot take mean_grads")
     split = model.split
     enc_spec, dec_spec = model.encoder_spec, model.decoder_spec
     batch = onehot.shape[-2] * repeats
@@ -206,14 +199,14 @@ def pipeline_loss_grads(model: CaeModel, theta: np.ndarray, onehot: np.ndarray,
     grad_lead = () if reduce else lead
     grads = np.empty(grad_lead + (model.n_params,), dtype=probs.dtype)
     _, g_y = mlp_backward(dec_spec, dec_cache, g_logits,
-                          out=grads[..., split:], reduce_lead=reduce, step=step)
+                          out=grads[..., split:], reduce_lead=reduce)
     g_x = cmul(conj(h), g_y)  # the adjoint of y = h*x is conj(h)*g_y
     if repeats > 1:
         # collapse the repeat groups; the encoder saw each row once
         g_x = g_x.reshape(g_x.shape[:-2] + (-1, repeats, d)).sum(axis=-2)
     g_raw = _normalize_backward(g_x, raw, scale, energy, repeats=repeats)
     mlp_backward(enc_spec, enc_cache, g_raw, out=grads[..., :split],
-                 reduce_lead=reduce, want_input_grad=False, step=step)
+                 reduce_lead=reduce, want_input_grad=False)
     return loss, grads
 
 

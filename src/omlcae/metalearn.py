@@ -165,23 +165,16 @@ def run_sgd(model: CaeModel, theta: np.ndarray, batches,
     task or a stack of T tasks; theta is (P,), adapted as one copy per
     stacked task, or (T, P).  Each step's new gradient array becomes the new
     parameters, so theta is never written; lr == 0 returns theta itself, as
-    the steps would for finite gradients.  Where a parameter vector fills a
-    fine-tune block alone (the paper width), the backward writes each
-    layer's new parameters while its gradient is in cache; at the desk width
-    one whole-array update costs less than the per-layer ones.  Both paths
-    are bitwise equal.
+    the steps would for finite gradients.
     """
     if lr == 0:
         return theta
     neg_lr = theta.dtype.type(-lr)
-    fused = _block_width(theta.shape[-1] * theta.itemsize) == 1
     for onehot, noise, h, repeats in batches:
-        # positional: perfbench/tracing.py names the ninth slot otherwise
-        _, new = pipeline_loss_grads(model, theta, onehot, noise, h, False,
-                                     repeats, False, neg_lr if fused else None)
-        if not fused:
-            new *= neg_lr
-            new += theta  # broadcasts a (P,) theta over a stack
+        _, new = pipeline_loss_grads(model, theta, onehot, noise, h,
+                                     want_loss=False, repeats=repeats)
+        new *= neg_lr
+        new += theta  # broadcasts a (P,) theta over a stack
         theta = new
     return theta
 
@@ -318,6 +311,13 @@ class RunConfig:
             raise ValueError("rho must be in [0, 1]")
         if self.query_shots is not None and self.query_shots < 1:
             raise ValueError("query_shots must be >= 1 when set")
+        try:  # an integer, half or complex dtype would train on cast weights
+            dtype = np.dtype(self.dtype)
+        except TypeError:
+            dtype = self.dtype
+        if dtype not in (np.float32, np.float64):
+            raise ValueError(f"RunConfig.dtype must be float32 or float64, "
+                             f"got {dtype}")
         self.meta.validate()
 
     def build_model(self) -> CaeModel:
@@ -367,11 +367,6 @@ def theta_hash(theta: np.ndarray) -> str:
 FINE_TUNE_BLOCK_BYTES = 2 ** 20
 
 
-def _block_width(param_bytes: int) -> int:
-    """Sequences per fine-tune block for a parameter vector of param_bytes."""
-    return max(1, FINE_TUNE_BLOCK_BYTES // param_bytes)
-
-
 def fine_tune_blocks(model: CaeModel, cfg: RunConfig, starts, row):
     """Fine-tune and score each (i, h, task, start theta) of the iterator
     starts; returns [row(i, ser, fine-tuned theta)] in order.  A fine-tune
@@ -380,7 +375,7 @@ def fine_tune_blocks(model: CaeModel, cfg: RunConfig, starts, row):
     block is pulled.  One-sequence blocks (the paper width, BLAS-bound steps
     that release the GIL) run on a thread per CPU, at most that many in
     flight, while this thread pulls starts and scores them in order."""
-    width = _block_width(model.params.nbytes)
+    width = max(1, FINE_TUNE_BLOCK_BYTES // model.params.nbytes)
     cpus = getattr(os, "sched_getaffinity", None)  # else all of os.cpu_count()
     workers = 1 if width > 1 else len(cpus(0)) if cpus else os.cpu_count() or 1
     if workers > 1:  # imported only here, as it costs 5 ms and 0.6 MB

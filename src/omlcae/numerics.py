@@ -173,7 +173,7 @@ def mlp_forward(spec: MlpSpec, theta: np.ndarray, x: np.ndarray,
 
 def mlp_backward(spec: MlpSpec, cache, output_grad: np.ndarray,
                  out: np.ndarray = None, reduce_lead: bool = False,
-                 want_input_grad: bool = True, step=None):
+                 want_input_grad: bool = True):
     """Exact reverse-mode gradient through the network.
 
     output_grad is dL/d(forward output), the last layer's pre-activation
@@ -186,13 +186,6 @@ def mlp_backward(spec: MlpSpec, cache, output_grad: np.ndarray,
     task) axes into a single flat vector, which folds the per-task weight
     gradients into one flat matrix product; input_grad stays per-task.
     want_input_grad=False skips the first layer's input gradient (None).
-
-    step (a scalar in the parameters' dtype) returns the SGD-updated
-    parameters param + step * grad in place of the gradient:
-    each layer's weight and bias blocks are updated right after their
-    gradient is formed, while they are still in cache.  Each entry gets the
-    multiply and add of a whole-array update, so the result is bitwise
-    ``grad * step + param``, a shared (P,) vector broadcast over the stack.
     """
     layers, inputs, preacts = cache
     delta = output_grad
@@ -220,11 +213,6 @@ def mlp_backward(spec: MlpSpec, cache, output_grad: np.ndarray,
         else:
             _matmul(delta.swapaxes(-1, -2), a_in, out=dw)
             delta.sum(axis=-2, out=param_grad[..., b_sl])
-        if step is not None:
-            for g, p in ((dw, layers[i][0]), (param_grad[..., b_sl],
-                                              layers[i][1])):
-                g *= step
-                g += p
         if i > 0:
             delta = _matmul(delta, layers[i][0])
             delta *= _leaky_grad(preacts[i - 1], dtype)  # freshly owned

@@ -263,13 +263,20 @@ def _with_model(runner):
     ("query_shots", 0, "query_shots must be >= 1 when set"),
     ("seed", -1, "seed must be >= 0, got -1"),
     ("snr_db", float("nan"), "snr_db entry nan has no finite noise variance"),
-    ("snr_db", True, "RunConfig.snr_db is not a real number: True")])
+    ("snr_db", True, "RunConfig.snr_db is not a real number: True"),
+    ("dtype", np.int64, "RunConfig.dtype must be float32 or float64, "
+                        "got int64"),
+    ("dtype", "float16", "RunConfig.dtype must be float32 or float64, "
+                         "got float16"),
+    ("dtype", np.dtype(np.complex128), "RunConfig.dtype must be float32 or "
+                                       "float64, got complex128")])
 def test_runners_reject_an_invalid_run_config(monkeypatch, runner, name, bad,
                                               message):
     # the library path skips ExperimentConfig: a bool ran as 1 shot (or at
     # 1 dB), a zero query size ran, a negative seed died in numpy's seeding
-    # (with a given model, also in online_run and run_joint_cae) and a NaN
-    # SNR was blamed on the fine-tune
+    # (with a given model, also in online_run and run_joint_cae), a NaN
+    # SNR was blamed on the fine-tune, and an integer, half or complex dtype
+    # trained on cast weights
     def train(*args, **kwargs):
         raise AssertionError("trained on an invalid config")
 

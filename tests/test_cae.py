@@ -139,41 +139,6 @@ def test_pipeline_mean_grads_matches_per_task_mean():
     assert np.max(np.abs(fused - per_task.mean(axis=0))) < 1e-13
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("shots", [1, 5])
-def test_pipeline_step_returns_the_sgd_update_bitwise(dtype, shots):
-    # with a step, each layer's block becomes param + step * grad as its
-    # gradient forms: bitwise the whole-array update of the gradient path
-    model = CaeModel.build(4, 2, rngmod.substream(8, "fs"), hidden=24,
-                           dtype=dtype)
-    rng = rngmod.substream(8, "fs", shots)
-    m, step = model.n_messages, dtype(-0.05)
-    noise = rng.normal(size=(3, m * shots, 4)).astype(dtype)
-    h = rng.normal(size=(3, 1, 4)).astype(dtype)
-    stack = np.stack([model.init_like(rng) for _ in range(3)])
-    # the joint CAE's flat batch: one one-hot and one channel per row
-    rows = rng.integers(1, m + 1, size=2 * m)
-    flat = (one_hot_batch(rows, m, dtype), noise[:2, :m].reshape(-1, 4),
-            rng.normal(size=(2 * m, 4)).astype(dtype), 1)
-    eye = np.eye(m, dtype=dtype)
-    cases = [(model.params, (eye, noise, h, shots)),  # (P,) over a stack
-             (stack[:1], (eye, noise[0], h[0], shots)),  # (1, P)
-             (stack, (eye, noise, h, shots)),  # (T, P)
-             (model.params, flat)]
-    for theta, (onehot, nz, hh, rep) in cases:
-        before = theta.copy()
-        _, grads = pipeline_loss_grads(model, theta, onehot, nz, hh, False,
-                                       rep)
-        _, new = pipeline_loss_grads(model, theta, onehot, nz, hh, False,
-                                     rep, False, step)
-        assert new.dtype == dtype and new.shape == grads.shape
-        assert np.array_equal(new, grads * step + theta)
-        assert np.array_equal(theta, before)  # theta is never written
-    with pytest.raises(ValueError, match="mean_grads"):
-        pipeline_loss_grads(model, stack, eye, noise, h, False, shots, True,
-                            step)
-
-
 def test_codebook_shape_and_power():
     model = small_model(k=3, n_ch=2)
     book = codebook(model)

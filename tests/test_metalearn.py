@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from omlcae import cae, metalearn, rng as rngmod
-from omlcae.cae import CaeModel, loss_and_grads, pilot_batch
+from omlcae.cae import CaeModel, loss_and_grads, one_hot_batch, pilot_batch
 from omlcae.channel import rayleigh_sample, snr_to_sigma2
 from omlcae.cae import pipeline_loss_grads
 from omlcae.metalearn import (OUTER_RULES, MetaConfig, RunConfig, Task,
@@ -125,40 +125,39 @@ def test_stacked_fine_tune_matches_separate_inner_adapt_bitwise(hidden, shots):
 
 
 @pytest.mark.parametrize("hidden", [64, 256])
-def test_run_sgd_matches_the_two_pass_update_bitwise(monkeypatch, hidden):
-    # paper-width steps update each layer inside the backward, desk-width
-    # ones the whole array after it; both equal a loop of the two-pass
-    # update, from a (P,) theta broadcast over a stack and from a (T, P) one
-    real, steps = pipeline_loss_grads, []
-
-    def traced(*args, **kwargs):
-        steps.append(args[8] if len(args) > 8 else None)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(metalearn, "pipeline_loss_grads", traced)
+def test_run_sgd_matches_the_two_pass_update_bitwise(hidden):
+    # every step is the gradient pass, then grads * -lr + theta: from a (P,)
+    # theta broadcast over a stack, from a (T, P) one and on the joint CAE's
+    # flat batch, and theta is never written
     for dtype in (np.float64, np.float32):
         model = CaeModel.build(4, 2, rngmod.substream(2, "sgd", hidden),
                                hidden=hidden, dtype=dtype)
         rng = rngmod.substream(3, "sgd", hidden)
         tasks = [make_pilot_task(model, rayleigh_sample(rng, 2), 0.3, 1, rng)
                  for _ in range(3)]
-        batch = onehot, noise, h, rep = _stack_tasks(model, tasks, "support",
-                                                     dtype)
+        stack = _stack_tasks(model, tasks, "support", dtype)
+        # the joint CAE's flat batch: one one-hot and one channel per row
+        m = model.n_messages
+        flat = (one_hot_batch(rng.integers(1, m + 1, size=2 * m), m, dtype),
+                stack[1][:2].reshape(-1, 4),
+                rng.normal(size=(2 * m, 4)).astype(dtype), 1)
         neg_lr = dtype(-0.05)
-        for theta in (model.params,
-                      np.stack([model.init_like(rng) for _ in tasks])):
-            want = theta
+        for theta, batch in [(model.params, stack),
+                             (np.stack([model.init_like(rng) for _ in tasks]),
+                              stack),
+                             (model.params, flat)]:
+            onehot, noise, h, rep = batch
+            before, want = theta.copy(), theta
             for _ in range(3):
-                _, grads = real(model, want, onehot, noise, h,
-                                want_loss=False, repeats=rep)
+                _, grads = pipeline_loss_grads(model, want, onehot, noise, h,
+                                               want_loss=False, repeats=rep)
                 grads *= neg_lr
                 grads += want
                 want = grads
-            steps.clear()
             got = run_sgd(model, theta, repeat(batch, 3), 0.05)
             assert got.dtype == dtype
             assert np.array_equal(got, want)
-            assert steps == 3 * [neg_lr if hidden == 256 else None]
+            assert np.array_equal(theta, before)
 
 
 def _tracing():
