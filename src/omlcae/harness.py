@@ -17,14 +17,15 @@ import configparser
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .baselines import run_joint_cae, run_qpsk_mle, run_scratch_cae
 from .cae import CaeModel, codebook, transmit
 from .channel import NoiseModel
-from .metalearn import MetaConfig, RunConfig, online_run, require_ints
+from .metalearn import (CellSettings, MetaConfig, RunConfig, online_run,
+                        require_ints)
 
 METHODS = ("oml_cae", "cae", "joint_cae", "qpsk_mle")
 
@@ -64,30 +65,19 @@ PROFILES = {
                  n_eval=4000, hidden=64, adapt_steps=10, query_shots=1,
                  outer_lr=1e-3, outer_rule="reptile"),
 }
-_DTYPES = {"float32": np.float32, "float64": np.float64}
-
 
 @dataclass
-class ExperimentConfig:
-    """One experiment grid.  profile is read only by apply_profile and
+class ExperimentConfig(CellSettings):
+    """One experiment grid: its cells' settings crossed with SNRs, shot
+    counts and methods.  profile is read only by apply_profile and
     parse_config; run_experiment uses the fields as given."""
 
-    k: int = 4
-    n_ch: int = 2
     snr_db: tuple = (5.0,)
     shots: tuple = (1, 2, 3, 4, 5)
-    n_sequences: int = 300
-    rho: float = 0.99
-    methods: tuple = ("oml_cae", "cae", "joint_cae", "qpsk_mle")
-    meta: MetaConfig = field(default_factory=MetaConfig)
-    n_eval: int = 10000
-    seed: int = 0
+    methods: tuple = METHODS
     profile: str = "paper"
     out_dir: str = "results"
     warmup: int = 15
-    hidden: int = 256
-    dtype: str = "float64"
-    query_shots: int = None
 
     def validate(self):
         """Check the grid, then each (snr, shots) cell as RunConfig.validate
@@ -103,12 +93,8 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
-        if any(s < 1 for s in self.shots):
-            raise ValueError("shots entries must be >= 1")
         if self.profile not in PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}")
-        if self.dtype not in _DTYPES:
-            raise ValueError(f"dtype must be one of {sorted(_DTYPES)}")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
         for snr in self.snr_db:
@@ -116,11 +102,9 @@ class ExperimentConfig:
                 self.run_config(snr, shots).validate()
 
     def run_config(self, snr_db: float, shots: int) -> RunConfig:
-        return RunConfig(k=self.k, n_ch=self.n_ch, snr_db=snr_db, shots=shots,
-                         n_sequences=self.n_sequences, rho=self.rho,
-                         n_eval=self.n_eval, seed=self.seed, meta=self.meta,
-                         hidden=self.hidden, dtype=_DTYPES[self.dtype],
-                         query_shots=self.query_shots)
+        return RunConfig(snr_db=snr_db, shots=shots,
+                         **{f.name: getattr(self, f.name)
+                            for f in fields(CellSettings)})
 
 
 def apply_profile(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -278,7 +262,8 @@ def export_constellation(model: CaeModel, h: np.ndarray, noise: NoiseModel,
     """Write learned codewords and tagged received samples as JSON.
 
     For n_ch = 1 each ``point`` is [re, im]; for larger n_ch it is a list of
-    [re, im] pairs, one per channel use.
+    [re, im] pairs, one per channel use.  At +inf dB, the noiseless channel,
+    ``snr_db`` is null and ``sigma2`` 0.
     """
     theta = model.params if theta is None else theta
     book = codebook(model, theta=theta)
@@ -293,7 +278,7 @@ def export_constellation(model: CaeModel, h: np.ndarray, noise: NoiseModel,
     doc = {
         "k": model.k,
         "n_ch": model.n_ch,
-        "snr_db": snr_db,
+        "snr_db": snr_db if math.isfinite(snr_db) else None,
         "h": [[float(h[2 * u]), float(h[2 * u + 1])] for u in range(model.n_ch)],
         "sigma2": noise.sigma2,
         "constellation": [
@@ -306,22 +291,27 @@ def export_constellation(model: CaeModel, h: np.ndarray, noise: NoiseModel,
             for i in range(n_show)
         ],
     }
+    text = json.dumps(doc, indent=2, allow_nan=False)  # no file if it fails
     with open(out_path, "w", newline="\n") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+        f.write(text + "\n")
     return doc
 
 
 # ---------------------------------------------------------------------------
 # config file parsing: plain INI-style text, [experiment] and [meta] sections
 
+def _comma_list(kind):
+    def parse(text):  # argparse's error message names it by __name__
+        return tuple(kind(v.strip()) for v in text.split(","))
+    parse.__name__ = f"comma-separated {kind.__name__} list"
+    return parse
+
+
 # scalar fields parse with their own type; the tuples are comma lists
 _EXPERIMENT_KEYS = {f.name: f.type for f in fields(ExperimentConfig)
                     if f.type in (int, float, str)}
-_EXPERIMENT_KEYS.update(
-    snr_db=lambda s: tuple(float(v) for v in s.split(",")),
-    shots=lambda s: tuple(int(v) for v in s.split(",")),
-    methods=lambda s: tuple(v.strip() for v in s.split(",")))
+_EXPERIMENT_KEYS.update(snr_db=_comma_list(float), shots=_comma_list(int),
+                        methods=_comma_list(str))
 _META_KEYS = {f.name: f.type for f in fields(MetaConfig)}
 
 

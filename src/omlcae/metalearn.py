@@ -261,21 +261,29 @@ def meta_train(model: CaeModel, theta: np.ndarray, buffer: TaskBuffer,
 
 
 @dataclass
-class RunConfig:
-    """One online run: a single (method-agnostic) experiment cell."""
+class CellSettings:
+    """The settings every cell of a grid shares; RunConfig adds the cell's
+    SNR and shot count, harness.ExperimentConfig the grid's lists of them.
+    dtype is a numpy dtype name."""
 
     k: int = 4
     n_ch: int = 2
-    snr_db: float = 5.0
-    shots: int = 1
     n_sequences: int = 300
     rho: float = 0.99
     n_eval: int = 10000
     seed: int = 0
     meta: MetaConfig = field(default_factory=MetaConfig)
     hidden: int = 256
-    dtype: type = np.float64
+    dtype: str = "float64"
     query_shots: int = None
+
+
+@dataclass
+class RunConfig(CellSettings):
+    """One online run: a single (method-agnostic) experiment cell."""
+
+    snr_db: float = 5.0
+    shots: int = 1
 
     @property
     def sigma2(self) -> float:

@@ -154,7 +154,7 @@ def test_constellation_oml_needs_two_sequences(tmp_path):
 
 @pytest.mark.parametrize("flag, message", [
     ("--snr-db=-4000", "snr_db entry -4000.0 "),
-    ("--shots=0", "shots entries must be >= 1"),
+    ("--shots=0", "shots must be >= 1"),
     ("--snr-db=nan", "snr_db entry nan "),
     ("--seed=-1", "seed must be >= 0")])
 def test_constellation_rejects_an_invalid_config_before_training(
@@ -266,6 +266,30 @@ def test_constellation_command(tmp_path):
                  "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert len(doc["constellation"]) == 4 and len(doc["received"]) == 10
+
+
+def test_constellation_writes_strict_json_at_infinite_snr(tmp_path):
+    # json.dump wrote the noiseless channel's SNR as the bare word Infinity,
+    # which strict parsers reject; sigma2 = 0 records that channel
+    def no_constant(name):
+        raise ValueError(f"not JSON: {name}")
+
+    out = tmp_path / "c.json"
+    assert main(["constellation", "--snr-db", "inf", "--iters", "2",
+                 "--n-show", "4", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(), parse_constant=no_constant)
+    assert doc["snr_db"] is None and doc["sigma2"] == 0.0
+
+
+@pytest.mark.parametrize("flag, expected", [
+    ("--snr-db", "comma-separated float list"),
+    ("--shots", "comma-separated int list")])
+def test_run_list_flag_errors_name_the_format(capsys, flag, expected):
+    # the parsers were lambdas, so argparse printed "invalid <lambda> value"
+    with pytest.raises(SystemExit):
+        main(["run", flag, "5,x"])
+    err = capsys.readouterr().err
+    assert f"invalid {expected} value: '5,x'" in err and "<lambda>" not in err
 
 
 def test_channel_stats_command(capsys):

@@ -5,7 +5,7 @@ import json
 import math
 import os
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,7 +19,8 @@ from omlcae.harness import (ExperimentConfig, MetricsRecord, apply_profile,
                             mean_efficiency_ratio, parse_config,
                             run_experiment, summarize, write_metrics_csv,
                             write_summary_csv)
-from omlcae.metalearn import MetaConfig, RunConfig, make_pilot_task
+from omlcae.metalearn import (CellSettings, MetaConfig, RunConfig,
+                              make_pilot_task)
 
 
 def tiny_cfg(tmp_path, **kw):
@@ -146,9 +147,22 @@ def test_the_paper_profile_is_the_defaults():
     assert cfg.dtype == "float32"
     assert replace(cfg, dtype="float64") == ExperimentConfig()
     assert cfg.run_config(5.0, 1) == RunConfig(snr_db=5.0, shots=1,
-                                               dtype=np.float32)
+                                               dtype="float32")
     assert ExperimentConfig().run_config(5.0, 1) == RunConfig(snr_db=5.0,
                                                               shots=1)
+
+
+def test_run_config_carries_every_cell_setting():
+    # ExperimentConfig.run_config copied the shared settings by hand, so a
+    # setting left out of the copy ran at RunConfig's default
+    changed = dict(k=2, n_ch=1, n_sequences=7, rho=0.5, n_eval=123, seed=9,
+                   meta=MetaConfig(inner_lr=0.01), hidden=16,
+                   dtype="float32", query_shots=3)
+    assert set(changed) == {f.name for f in fields(CellSettings)}
+    for name, value in changed.items():
+        assert value != getattr(CellSettings(), name), name
+    rc = ExperimentConfig(**changed).run_config(7.0, 2)
+    assert rc == RunConfig(snr_db=7.0, shots=2, **changed)
 
 
 def test_apply_profile_fills_fields():
@@ -354,7 +368,7 @@ def test_parse_config_file_dtype_beats_the_paper_profile(tmp_path):
     cfg = parse_config(str(path), {"profile": "paper"})
     assert cfg.profile == "paper" and cfg.hidden == 256
     assert cfg.dtype == "float64"
-    assert cfg.run_config(5.0, 1).dtype is np.float64
+    assert cfg.run_config(5.0, 1).dtype == "float64"
 
 
 def test_parse_config_file_and_overrides(tmp_path):

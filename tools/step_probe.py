@@ -1,5 +1,5 @@
-"""Paper-width SGD steps, timed: fine-tunes serially and on 2 threads, and
-the meta step.
+"""Paper-width SGD steps, timed: fine-tunes serially, on 2 threads and on 2
+fork processes, and the meta step.
 
     python3 tools/step_probe.py --steps 200 --rounds 11
     python3 tools/step_probe.py --root ../other-checkout
@@ -10,21 +10,25 @@ compare their steps on one machine.  For float32 and float64 at 1 and 5
 shots it builds the paper-profile scratch-CAE cell at 5 dB and seed 0
 (``baselines.scratch_starts``) and, each round, times:
 
-- ``--steps`` fine-tune steps of sequence 1, ``metalearn.inner_adapt`` on a
-  one-sequence block as ``fine_tune_blocks`` runs it at the paper width;
-- the same fine-tune of sequences 1 and 2 at once, on a pool of 2 threads;
+- ``--steps`` fine-tune steps of sequences 1 and 2, one after the other,
+  each ``metalearn.inner_adapt`` on a one-sequence block as
+  ``fine_tune_blocks`` runs it at the paper width;
+- the same two fine-tunes at once, on a pool of 2 threads;
+- the same two fine-tunes at once, on a pool of 2 processes started by
+  ``fork`` before any pool thread runs;
 - ``--steps`` chained first-order MAML ``metalearn.outer_meta_step`` calls
   on the cell's first ``tasks_per_update`` (5) tasks, from a fresh Adam
   state.
 
 A round runs every measure once, so drift in the machine's speed spreads
 over all of them.  The probe prints each measure's median, lowest and
-highest time per step (per step pair on the threads) over the rounds, and a
-sha256 prefix of each final parameter vector: checkouts that print the same
-prefixes computed bitwise-equal parameters.  It exits non-zero if a round's
-parameters differ from the first round's, or the threads' from the serial
-fine-tune's.  Importing ``omlcae`` before numpy gives every measure one BLAS
-thread.
+highest time per step (per step pair on the pools) over the rounds, each
+pool's speed-up over the serial pair in the median, and a sha256 prefix of
+each final parameter vector: checkouts that print the same prefixes
+computed bitwise-equal parameters.  It exits non-zero if a round's
+parameters differ from the first round's, or a pool's fine-tune from the
+serial fine-tune of the same sequence.  Importing ``omlcae`` before numpy
+gives every measure one BLAS thread.
 """
 
 import argparse
@@ -32,12 +36,18 @@ import os
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from itertools import islice
 from statistics import median
 
-THREADS = 2
+PAIR = 2  # fine-tunes run at once, and workers in each pool
 CELLS = [(dtype, shots) for dtype in ("float32", "float64")
          for shots in (1, 5)]
+JOBS = {}  # (cell, sequence) -> fine-tune; fork children inherit it
+
+
+def fine_tune(key):
+    return JOBS[key]()[0]
 
 
 def main(argv=None):
@@ -54,55 +64,60 @@ def main(argv=None):
     import omlcae  # before numpy: one BLAS thread
     from omlcae import baselines, harness, metalearn
     from omlcae.numerics import AdamState
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+    from multiprocessing import get_context
     import numpy as np
 
     cfg = harness.apply_profile(harness.ExperimentConfig(
         snr_db=(5.0,), seed=0, profile="paper"))
     tasks = cfg.meta.tasks_per_update
     cells = {}
-    for dtype, shots in CELLS:
-        rc = replace(cfg.run_config(5.0, shots), dtype=getattr(np, dtype))
+    for cell in CELLS:
+        dtype, shots = cell
+        rc = replace(cfg.run_config(5.0, shots), dtype=dtype)
         model = rc.build_model()
         starts = list(islice(baselines.scratch_starts(rc, model),
-                             max(tasks, THREADS)))
-        cells[dtype, shots] = rc, model, starts
+                             max(tasks, PAIR)))
+        cells[cell] = rc, model, [s[2] for s in starts[:tasks]]
+        for j, (_, _, task, theta) in enumerate(starts[:PAIR]):
+            JOBS[cell, j] = partial(metalearn.inner_adapt, model, theta[None],
+                                    [task], args.steps, rc.meta.inner_lr)
 
-    def fine_tune(model, rc, start):
-        _, _, task, theta = start
-        return metalearn.inner_adapt(model, theta[None], [task], args.steps,
-                                     rc.meta.inner_lr)[0]
+    # the fork pool starts both its processes at its first job, before the
+    # thread pool starts a thread
+    procs = ProcessPoolExecutor(PAIR, mp_context=get_context("fork"))
+    procs.submit(int).result()
+    threads = ThreadPoolExecutor(PAIR)
 
-    pool = ThreadPoolExecutor(THREADS)
+    def pair(map_):
+        return lambda cell: list(map_(fine_tune,
+                                      [(cell, j) for j in range(PAIR)]))
 
-    def serial(rc, model, starts):
-        return [fine_tune(model, rc, starts[0])]
-
-    def threads(rc, model, starts):
-        return list(pool.map(lambda s: fine_tune(model, rc, s),
-                             starts[:THREADS]))
-
-    def meta_steps(rc, model, starts):
+    def meta_steps(cell):
+        rc, model, sample = cells[cell]
         theta, adam = model.params, AdamState.fresh(model.n_params,
                                                     model.params.dtype)
-        sample = [s[2] for s in starts[:tasks]]
         for _ in range(args.steps):
             adam, theta = metalearn.outer_meta_step(
                 model, theta, sample, rc.meta, adam, rc.meta.outer_lr)
         return [theta]
 
-    measures = {"serial step": serial, f"{THREADS}-thread pair": threads,
+    serial, pools = "serial step", (f"{PAIR}-thread pair",
+                                    f"{PAIR}-process pair")
+    measures = {serial: pair(map), pools[0]: pair(threads.map),
+                pools[1]: pair(procs.map),
                 f"{tasks}-task meta step": meta_steps}
     seconds, hashes = {}, {}
-    with pool:
+    with procs, threads:
         for _ in range(args.rounds):
-            for cell, (rc, model, starts) in cells.items():
+            for cell in cells:
                 for name, measure in measures.items():
                     t0 = time.perf_counter()
-                    thetas = measure(rc, model, starts)
+                    thetas = measure(cell)
+                    steps = args.steps * (PAIR if name == serial else 1)
                     seconds.setdefault((cell, name), []).append(
-                        (time.perf_counter() - t0) / args.steps)
-                    got = [metalearn.theta_hash(t)[:12] for t in thetas]
+                        (time.perf_counter() - t0) / steps)
+                    got = [metalearn.theta_hash(t) for t in thetas]
                     if hashes.setdefault((cell, name), got) != got:
                         sys.exit(f"{cell} {name}: parameters differ between "
                                  f"rounds")
@@ -111,16 +126,19 @@ def main(argv=None):
           f"{np.__version__}, width {cfg.hidden}, {args.rounds} round(s) of "
           f"{args.steps} steps; microseconds per step")
     print(f"{'dtype':8s}{'shots':>5s}  {'measure':20s}{'median':>9s}"
-          f"{'min':>9s}{'max':>9s}  sha256")
+          f"{'min':>9s}{'max':>9s}{'speed-up':>9s}  sha256")
     for (cell, name), times in seconds.items():
         us = [t * 1e6 for t in times]
+        speedup = PAIR * median(seconds[cell, serial]) / median(times)
+        speedup = f"{speedup:.2f}x" if name in pools else ""
         print(f"{cell[0]:8s}{cell[1]:5d}  {name:20s}{median(us):9.1f}"
-              f"{min(us):9.1f}{max(us):9.1f}  {' '.join(hashes[cell, name])}")
+              f"{min(us):9.1f}{max(us):9.1f}{speedup:>9s}  "
+              f"{' '.join(h[:12] for h in hashes[cell, name])}")
     for cell in cells:
-        pair = hashes[cell, f"{THREADS}-thread pair"]
-        if pair[0] != hashes[cell, "serial step"][0]:
-            sys.exit(f"{cell}: the threads' fine-tune differs from the "
-                     f"serial one")
+        for name in pools:
+            if hashes[cell, name] != hashes[cell, serial]:
+                sys.exit(f"{cell}: the {name}'s fine-tunes differ from the "
+                         f"serial ones")
 
 
 if __name__ == "__main__":
