@@ -5,7 +5,7 @@ import os
 import sys
 import warnings
 
-# one BLAS thread unless set: fine_tune_blocks runs a thread per CPU
+# one BLAS thread unless set: fine_tune_blocks runs a process per CPU
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 if "numpy" in sys.modules and not any(v in os.environ for v in _BLAS_VARS):
     warnings.warn("numpy was imported before omlcae with none of "

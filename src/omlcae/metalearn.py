@@ -40,8 +40,8 @@ constellation export) pulls online_starts alone.
 import hashlib
 import numbers
 import os
+import sys
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from itertools import islice, repeat
@@ -380,37 +380,99 @@ def fine_tune_blocks(model: CaeModel, cfg: RunConfig, starts, row):
     starts; returns [row(i, ser, fine-tuned theta)] in order.  A fine-tune
     feeds only its own score, so runs of sequences fine-tune as one
     inner_adapt call on their stacked start thetas, scored before the next
-    block is pulled.  One-sequence blocks (the paper width, BLAS-bound steps
-    that release the GIL) run on a thread per CPU, at most that many in
-    flight, while this thread pulls starts and scores them in order."""
+    block is pulled when the caller is the only worker.  One-sequence
+    blocks (the paper width, BLAS-bound steps) run in one process per CPU,
+    the caller counting as one: while fewer than CPUs - 1 children are in
+    flight and another block follows, a block fine-tunes in a forked
+    child, which writes its theta into a shared anonymous mmap and exits;
+    the caller fine-tunes inline the block that fills the window, every
+    CPUs-th once it is full, and the last block, so it runs at least one
+    fine-tune per call.  The caller scores
+    every block in sequence order, so rows are a serial run's, bit for bit.
+    A failed fine-tune raises RuntimeError naming snr, shots and sequence;
+    whatever ends the loop, children still in flight are killed, and every
+    child is reaped."""
     width = max(1, FINE_TUNE_BLOCK_BYTES // model.params.nbytes)
     cpus = getattr(os, "sched_getaffinity", None)  # else all of os.cpu_count()
-    workers = 1 if width > 1 else len(cpus(0)) if cpus else os.cpu_count() or 1
-    if workers > 1:  # imported only here, as it costs 5 ms and 0.6 MB
-        from concurrent.futures import ThreadPoolExecutor
-    rows, in_flight = [], deque()
+    workers = (1 if width > 1 or not hasattr(os, "fork") else
+               len(cpus(0)) if cpus else os.cpu_count() or 1)
+    if workers > 1:  # imported only here, as they cost 1.2 ms
+        import mmap
+        import signal
+    rows, in_flight, children = [], deque(), set()
     fine_tune = partial(inner_adapt, model, steps=cfg.meta.finetune_iters,
                         alpha=cfg.meta.inner_lr)
 
+    def pull():  # the next block, [] once starts is exhausted
+        return list(islice(starts, width))
+
+    def failed(seqs, how=""):
+        first, last = seqs[0][0], seqs[-1][0]
+        return RuntimeError(
+            f"fine-tune failed{how} at snr {cfg.snr_db:g} dB, shots "
+            f"{cfg.shots}, sequence {first}"
+            + (f"-{last}" if last != first else ""))
+
     def score():
-        seqs, tuned = in_flight.popleft()
-        tuned = tuned if workers == 1 else tuned.result()
+        seqs, tuned, pid = in_flight.popleft()
+        if pid is not None:
+            status = os.waitpid(pid, 0)[1]
+            children.remove(pid)
+            if status:
+                raise failed(seqs, f" in child process {pid} (exit code "
+                                   f"{os.waitstatus_to_exitcode(status)})")
         rows.extend(row(i, sequence_ser(model, cfg, i, h, theta), theta)
                     for (i, h), theta in zip(seqs, tuned))
 
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        while block := list(islice(starts, width)):
+    try:
+        following = pull()
+        while block := following:
+            following = None
             seqs, tasks = [b[:2] for b in block], [b[2] for b in block]
             start = np.stack([b[3] for b in block])
             del block  # while fine-tuning, only the stack holds the starts
-            in_flight.append((seqs, pool.submit(fine_tune, start, tasks)
-                              if pool else fine_tune(start, tasks)))
+            pid = None
+            if len(children) < workers - 1 and (following := pull()):
+                tuned = np.frombuffer(mmap.mmap(-1, start.nbytes),
+                                      start.dtype).reshape(start.shape)
+                pid = os.fork()
+                if pid == 0:
+                    _fine_tune_in_child(fine_tune, start, tasks, tuned)
+                children.add(pid)
+            else:
+                try:
+                    tuned = fine_tune(start, tasks)
+                except Exception as e:
+                    raise failed(seqs) from e
+            in_flight.append((seqs, tuned, pid))
             del start  # and while scoring, only this block's results are alive
             if len(in_flight) == workers:
                 score()
+            if following is None:
+                following = pull()
         while in_flight:
             score()
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return rows
+
+
+def _fine_tune_in_child(fine_tune, start, tasks, out):
+    """A forked child's whole life: write fine_tune(start, tasks) into out,
+    the shared result, and exit 0, or print the traceback and exit 1.  It
+    never returns, so no frame or exit handler of the caller runs twice."""
+    code = 1
+    try:
+        out[...] = fine_tune(start, tasks)
+        code = 0
+    except BaseException:
+        import traceback  # only a failing child needs it
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
 
 
 @dataclass

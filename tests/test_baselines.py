@@ -5,7 +5,6 @@ import platform
 import re
 import subprocess
 import sys
-import threading
 from collections import deque
 from dataclasses import replace
 
@@ -418,57 +417,97 @@ def _allow_cpus(monkeypatch, cpus):
                         raising=False)
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_pooled_fine_tunes_match_serial_in_sequence_order(monkeypatch):
-    # two CPUs put the fine-tunes on pool threads, one keeps them on the
-    # calling thread; rows and the scored thetas come out the same, in
-    # sequence order, and equal one fine-tune per sequence
-    scored, on_main = [], []
+    # one CPU keeps every fine-tune in the caller; with c CPUs up to c - 1
+    # run in forked children at once, and the caller fine-tunes the block
+    # that fills the window and the last block.  Rows and the scored thetas
+    # come out the same, in sequence order, and equal one fine-tune per
+    # sequence
+    scored, in_caller, live, most = [], [], [0], [0]
+    fork, waitpid = os.fork, os.waitpid
 
     def logged(model, cfg, i, h, theta):
         scored.append((i, theta_hash(theta)))
         return sequence_ser(model, cfg, i, h, theta)
 
-    def adapt(*args, **kwargs):
-        on_main.append(threading.current_thread() is threading.main_thread())
-        return inner_adapt(*args, **kwargs)
+    def adapt(model, theta, tasks, *args, **kwargs):
+        # a child's append dies with the child
+        in_caller.append(next(i for i, s in enumerate(supports, 1)
+                              if np.array_equal(tasks[0].support, s)))
+        return inner_adapt(model, theta, tasks, *args, **kwargs)
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            live[0] += 1
+            most[0] = max(most[0], live[0])
+        return pid
+
+    def counted_waitpid(pid, options):
+        live[0] -= pid > 0
+        return waitpid(pid, options)
 
     monkeypatch.setattr(metalearn, "sequence_ser", logged)
     monkeypatch.setattr(metalearn, "inner_adapt", adapt)
-    cfg = _one_sequence_blocks(monkeypatch)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "waitpid", counted_waitpid)
+    five = _one_sequence_blocks(monkeypatch)
+    # (CPUs, sequences, the sequences fine-tuned in the caller, most
+    # children at once): at 3 CPUs the caller takes every third sequence
+    # once the window is full, and the last, even when a cell is too short
+    # to fill the window
+    cases = [({0}, 5, [1, 2, 3, 4, 5], 0), ({0, 1}, 5, [2, 4, 5], 1),
+             ({0, 1, 2}, 5, [3, 5], 2), ({0, 1, 2}, 7, [3, 6, 7], 2),
+             ({0, 1, 2}, 2, [2], 1)]
     for method in ("oml_cae", "cae", "joint_cae"):
-        want = _per_sequence_reference(cfg, method)
-        for cpus in ({0}, {0, 1}):
+        for cpus, n, caller_runs, children in cases:
+            cfg = replace(five, n_sequences=n)
+            supports = [task.support for *_, task in
+                        task_sequence(cfg, cfg.build_model())]
+            want = _per_sequence_reference(cfg, method)
             _allow_cpus(monkeypatch, cpus)
             scored.clear()
-            on_main.clear()
+            in_caller.clear()
+            most[0] = 0
             rows = _cae_runners(cfg)[method]()
             assert rows == [(i, ser) for i, ser, _ in want], (method, cpus)
             assert scored == [(i, digest) for i, _, digest in want]
-            assert on_main == [len(cpus) == 1] * cfg.n_sequences
+            assert in_caller == caller_runs, (method, cpus, n)
+            assert most[0] == children and live[0] == 0
+            assert_no_child_left()
 
 
+@pytest.mark.parametrize("sequence, in_child", [(3, True), (4, False)])
 @pytest.mark.parametrize("method", ["oml_cae", "cae", "joint_cae"])
-def test_pooled_fine_tune_error_propagates_and_joins_the_pool(monkeypatch,
-                                                             method):
+def test_failed_fine_tune_names_its_sequence_and_leaves_no_child(
+        monkeypatch, capfd, method, sequence, in_child):
+    # at two CPUs sequences 1 and 3 fine-tune in forked children and 2, 4
+    # and 5 in the caller, sequence 4 while sequence 3's child is in flight
     cfg = _one_sequence_blocks(monkeypatch)
     _allow_cpus(monkeypatch, {0, 1})
-    calls, lock = [], threading.Lock()
+    support = [task.support for *_, task in
+               task_sequence(cfg, cfg.build_model())][sequence - 1]
 
-    def failing(*args, **kwargs):
-        with lock:
-            calls.append(threading.current_thread())
-            fail = len(calls) == 2
-        if fail:
-            raise RuntimeError("fine-tune failed")
-        return inner_adapt(*args, **kwargs)
+    def failing(model, theta, tasks, *args, **kwargs):
+        if np.array_equal(tasks[0].support, support):
+            raise ValueError("fine-tune broke")
+        return inner_adapt(model, theta, tasks, *args, **kwargs)
 
     monkeypatch.setattr(metalearn, "inner_adapt", failing)
-    before = set(threading.enumerate())
-    with pytest.raises(RuntimeError, match="fine-tune failed"):
+    where = r" in child process \d+ \(exit code 1\)" if in_child else ""
+    with pytest.raises(RuntimeError, match=f"^fine-tune failed{where} at snr "
+                       f"5 dB, shots 1, sequence {sequence}$") as error:
         _cae_runners(cfg)[method]()
-    assert threading.main_thread() not in calls
-    assert not any(t.is_alive() for t in calls)
-    assert set(threading.enumerate()) <= before
+    assert_no_child_left()
+    if in_child:  # the child printed its traceback
+        assert "ValueError: fine-tune broke" in capfd.readouterr().err
+    else:
+        assert str(error.value.__cause__) == "fine-tune broke"
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -1,7 +1,8 @@
-"""tools/bench_pairs.py rejects pair counts its quartiles cannot summarize
-and sides of which only one holds bytecode, names the run that failed,
-records which commits it compared, and prints a per-metric summary judged
-by BENCHMARK.json's directions and bounds."""
+"""tools/bench_pairs.py rejects pair counts its quartiles cannot summarize,
+sides of which only one holds bytecode and a workload named twice, runs
+every named workload in each pair, names the run that failed, records
+which commits it compared, and prints a per-metric summary judged by
+BENCHMARK.json's directions and bounds."""
 
 import importlib.util
 import json
@@ -173,3 +174,45 @@ def test_prints_each_metrics_medians_and_after_wins(tmp_path, monkeypatch,
         "oml_desk seq_per_s: 11 -> 7.7 (before quartiles 10.5-11.5, "
         "-30.0%, after wins 0/3, beyond bound)")
 
+
+
+def test_each_named_workload_gets_its_own_entry(tmp_path, monkeypatch):
+    # a repeated --workload runs every named workload within each pair
+    bench_pairs = load_bench_pairs()
+    write_benchmark(tmp_path)
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+    calls = []
+
+    def run_once(side, checkout, workload, seed, seconds):
+        calls.append((seed, workload, side))
+        return {"seq_per_s": {"oml_desk": 1.0, "grid_desk": 2.0}[workload]}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    argv = ["--before", str(tmp_path), "--workload", "oml_desk",
+            "--workload", "grid_desk", "--pairs", "2", "--out", str(out)]
+    bench_pairs.main(argv)
+    assert calls == [(1, "oml_desk", "before"), (1, "oml_desk", "after"),
+                     (1, "grid_desk", "before"), (1, "grid_desk", "after"),
+                     (2, "oml_desk", "after"), (2, "oml_desk", "before"),
+                     (2, "grid_desk", "after"), (2, "grid_desk", "before")]
+    doc = json.loads(out.read_text())
+    assert sorted(doc) == ["grid_desk", "oml_desk"]
+    for workload, value in (("oml_desk", 1.0), ("grid_desk", 2.0)):
+        entry = doc[workload]
+        assert entry["runs"]["after"] == [{"seq_per_s": value}] * 2
+        assert "--workload oml_desk --workload grid_desk" in entry["command"]
+
+
+def test_a_workload_named_twice_fails_before_any_run(tmp_path, monkeypatch,
+                                                     capsys):
+    bench_pairs = load_bench_pairs()
+    monkeypatch.setattr(bench_pairs, "run_once", None)  # never called
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--before", str(tmp_path), "--workload", "oml_desk",
+                          "--workload", "oml_desk", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "--workload oml_desk is given more than once" in \
+        capsys.readouterr().err
+    assert not out.exists()

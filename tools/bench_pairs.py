@@ -6,8 +6,10 @@
 Run it from the root of the checkout under test (the "after" side);
 --before is the root of another checkout, usually the parent commit.  Each
 pair runs ``perfbench/run.py --trace 0`` once in each checkout with the same
-seed (the pair's index), alternating which side runs first.  The output file
-gets one entry per workload: every run's end-to-end metrics, each side's
+seed (the pair's index), alternating which side runs first.  ``--workload``
+may be given more than once (naming a workload twice is an error): each
+pair then runs every named workload in turn, both sides each.  The output
+file gets one entry per workload: every run's end-to-end metrics, each side's
 median and quartiles, and for each metric how many pairs the after side
 won, the relative change of the median and whether that change is worse
 than the metric's bound.  Each metric's direction ("better") and bound come
@@ -104,30 +106,9 @@ def relative_change(before, after):
     return (after - before) / abs(before)
 
 
-def main(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--before", required=True, help="root of the other checkout")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--pairs", type=pair_count, default=10)
-    p.add_argument("--seconds", type=float, default=30.0)
-    p.add_argument("--out", required=True)
-    args = p.parse_args(argv)
-    declared = end_to_end_metrics()
-    sides = {"before": os.path.abspath(args.before), "after": ROOT}
-    runs = {"before": [], "after": []}
-    cached = {side: bytecode_dirs(checkout) for side, checkout in sides.items()}
-    if bool(cached["before"]) != bool(cached["after"]):
-        side = "before" if cached["before"] else "after"
-        raise SystemExit(f"{side} side holds {cached[side][0]}, the other "
-                         f"side no __pycache__: delete it, or the sides "
-                         f"import at different speeds")
-    git = {side: git_state(checkout) for side, checkout in sides.items()}
-    for pair in range(args.pairs):
-        order = ("before", "after") if pair % 2 == 0 else ("after", "before")
-        for side in order:
-            runs[side].append(run_once(side, sides[side], args.workload,
-                                       pair + 1, args.seconds))
-            print(args.workload, pair, side, runs[side][-1], flush=True)
+def compare(runs, declared):
+    """{metric: summary} of one workload's runs {"before": [...], "after":
+    [...]}, judged by the declared direction and bound of each metric."""
     metrics = {}
     for name in runs["after"][0]:
         before = [r[name] for r in runs["before"]]
@@ -140,26 +121,66 @@ def main(argv=None):
         m["change"] = relative_change(m["before"]["median"],
                                       m["after"]["median"])
         m["beyond_bound"] = -sign * m["change"] > declared[name]["bound"]
+    return metrics
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--before", required=True, help="root of the other checkout")
+    p.add_argument("--workload", required=True, action="append",
+                   help="a workload to pair; repeat the flag for more")
+    p.add_argument("--pairs", type=pair_count, default=10)
+    p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--out", required=True)
+    args = p.parse_args(argv)
+    workloads = args.workload
+    for workload in workloads:
+        if workloads.count(workload) > 1:
+            p.error(f"--workload {workload} is given more than once")
+    declared = end_to_end_metrics()
+    sides = {"before": os.path.abspath(args.before), "after": ROOT}
+    runs = {w: {"before": [], "after": []} for w in workloads}
+    cached = {side: bytecode_dirs(checkout) for side, checkout in sides.items()}
+    if bool(cached["before"]) != bool(cached["after"]):
+        side = "before" if cached["before"] else "after"
+        raise SystemExit(f"{side} side holds {cached[side][0]}, the other "
+                         f"side no __pycache__: delete it, or the sides "
+                         f"import at different speeds")
+    git = {side: git_state(checkout) for side, checkout in sides.items()}
+    for pair in range(args.pairs):
+        order = ("before", "after") if pair % 2 == 0 else ("after", "before")
+        for workload in workloads:
+            for side in order:
+                runs[workload][side].append(run_once(
+                    side, sides[side], workload, pair + 1, args.seconds))
+                print(workload, pair, side, runs[workload][side][-1],
+                      flush=True)
     doc = {}
     if os.path.exists(args.out):
         with open(args.out) as f:
             doc = json.load(f)
-    doc[args.workload] = {
-        "command": (f"python3 tools/bench_pairs.py --before <parent checkout> "
-                    f"--workload {args.workload} --pairs {args.pairs} "
-                    f"--seconds {args.seconds:g} --out {args.out}"),
-        "pairs": args.pairs, "git": git, "metrics": metrics, "runs": runs,
-    }
+    flags = " ".join(f"--workload {w}" for w in workloads)
+    metrics = {w: compare(runs[w], declared) for w in workloads}
+    for workload in workloads:
+        doc[workload] = {
+            "command": (f"python3 tools/bench_pairs.py --before <parent "
+                        f"checkout> {flags} --pairs {args.pairs} --seconds "
+                        f"{args.seconds:g} --out {args.out}"),
+            "pairs": args.pairs, "git": git, "metrics": metrics[workload],
+            "runs": runs[workload],
+        }
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
-    for name, m in metrics.items():
-        before = m["before"]
-        print(f"{args.workload} {name}: {before['median']:.6g} -> "
-              f"{m['after']['median']:.6g} (before quartiles "
-              f"{before['q1']:.6g}-{before['q3']:.6g}, {m['change']:+.1%}, "
-              f"after wins {m['after_wins']}/{args.pairs}"
-              f"{', beyond bound' if m['beyond_bound'] else ''})")
+    for workload in workloads:
+        for name, m in metrics[workload].items():
+            before = m["before"]
+            bound = ", beyond bound" if m["beyond_bound"] else ""
+            print(f"{workload} {name}: {before['median']:.6g} -> "
+                  f"{m['after']['median']:.6g} (before quartiles "
+                  f"{before['q1']:.6g}-{before['q3']:.6g}, "
+                  f"{m['change']:+.1%}, after wins {m['after_wins']}/"
+                  f"{args.pairs}{bound})")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""Paper-width SGD steps, timed: fine-tunes serially, on 2 threads and on 2
-fork processes, and the meta step.
+"""Paper-width SGD steps, timed: fine-tunes serially and through the
+shipped scheduler, and the meta step.
 
     python3 tools/step_probe.py --steps 200 --rounds 11
     python3 tools/step_probe.py --root ../other-checkout
@@ -13,22 +13,24 @@ shots it builds the paper-profile scratch-CAE cell at 5 dB and seed 0
 - ``--steps`` fine-tune steps of sequences 1 and 2, one after the other,
   each ``metalearn.inner_adapt`` on a one-sequence block as
   ``fine_tune_blocks`` runs it at the paper width;
-- the same two fine-tunes at once, on a pool of 2 threads;
-- the same two fine-tunes at once, on a pool of 2 processes started by
-  ``fork`` before any pool thread runs;
+- the same two fine-tunes through ``metalearn.fine_tune_blocks``, as the
+  runners schedule them on this machine's CPUs, with a row that returns
+  the fine-tuned theta; scoring is cut to one symbol, so the measure is the
+  fine-tunes.  With ``--root`` on another checkout it is that checkout's
+  scheduler, so alternating runs compare two schedulers on one machine;
 - ``--steps`` chained first-order MAML ``metalearn.outer_meta_step`` calls
   on the cell's first ``tasks_per_update`` (5) tasks, from a fresh Adam
   state.
 
 A round runs every measure once, so drift in the machine's speed spreads
 over all of them.  The probe prints each measure's median, lowest and
-highest time per step (per step pair on the pools) over the rounds, each
-pool's speed-up over the serial pair in the median, and a sha256 prefix of
-each final parameter vector: checkouts that print the same prefixes
-computed bitwise-equal parameters.  It exits non-zero if a round's
-parameters differ from the first round's, or a pool's fine-tune from the
-serial fine-tune of the same sequence.  Importing ``omlcae`` before numpy
-gives every measure one BLAS thread.
+highest time per step (per step pair on the scheduler) over the rounds,
+the scheduler's speed-up over the serial pair in the median, and a sha256
+prefix of each final parameter vector: checkouts that print the same
+prefixes computed bitwise-equal parameters.  It exits non-zero if a round's
+parameters differ from the first round's, or the scheduler's fine-tune
+from the serial fine-tune of the same sequence.  Importing
+``omlcae`` before numpy gives every measure one BLAS thread.
 """
 
 import argparse
@@ -40,14 +42,9 @@ from functools import partial
 from itertools import islice
 from statistics import median
 
-PAIR = 2  # fine-tunes run at once, and workers in each pool
+PAIR = 2  # fine-tunes per measure
 CELLS = [(dtype, shots) for dtype in ("float32", "float64")
          for shots in (1, 5)]
-JOBS = {}  # (cell, sequence) -> fine-tune; fork children inherit it
-
-
-def fine_tune(key):
-    return JOBS[key]()[0]
 
 
 def main(argv=None):
@@ -64,14 +61,12 @@ def main(argv=None):
     import omlcae  # before numpy: one BLAS thread
     from omlcae import baselines, harness, metalearn
     from omlcae.numerics import AdamState
-    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-    from multiprocessing import get_context
     import numpy as np
 
     cfg = harness.apply_profile(harness.ExperimentConfig(
         snr_db=(5.0,), seed=0, profile="paper"))
     tasks = cfg.meta.tasks_per_update
-    cells = {}
+    cells, jobs, block_runs = {}, {}, {}
     for cell in CELLS:
         dtype, shots = cell
         rc = replace(cfg.run_config(5.0, shots), dtype=dtype)
@@ -79,19 +74,20 @@ def main(argv=None):
         starts = list(islice(baselines.scratch_starts(rc, model),
                              max(tasks, PAIR)))
         cells[cell] = rc, model, [s[2] for s in starts[:tasks]]
-        for j, (_, _, task, theta) in enumerate(starts[:PAIR]):
-            JOBS[cell, j] = partial(metalearn.inner_adapt, model, theta[None],
-                                    [task], args.steps, rc.meta.inner_lr)
+        blocks_cfg = replace(rc, n_eval=1, meta=replace(
+            rc.meta, finetune_iters=args.steps))
+        block_runs[cell] = model, blocks_cfg, starts[:PAIR]
+        jobs[cell] = [partial(metalearn.inner_adapt, model, theta[None],
+                              [task], args.steps, rc.meta.inner_lr)
+                      for _, _, task, theta in starts[:PAIR]]
 
-    # the fork pool starts both its processes at its first job, before the
-    # thread pool starts a thread
-    procs = ProcessPoolExecutor(PAIR, mp_context=get_context("fork"))
-    procs.submit(int).result()
-    threads = ThreadPoolExecutor(PAIR)
+    def serial_pair(cell):
+        return [job()[0] for job in jobs[cell]]
 
-    def pair(map_):
-        return lambda cell: list(map_(fine_tune,
-                                      [(cell, j) for j in range(PAIR)]))
+    def blocks(cell):
+        model, blocks_cfg, pair_starts = block_runs[cell]
+        return metalearn.fine_tune_blocks(model, blocks_cfg, iter(pair_starts),
+                                          lambda i, ser, theta: theta)
 
     def meta_steps(cell):
         rc, model, sample = cells[cell]
@@ -102,43 +98,39 @@ def main(argv=None):
                 model, theta, sample, rc.meta, adam, rc.meta.outer_lr)
         return [theta]
 
-    serial, pools = "serial step", (f"{PAIR}-thread pair",
-                                    f"{PAIR}-process pair")
-    measures = {serial: pair(map), pools[0]: pair(threads.map),
-                pools[1]: pair(procs.map),
+    serial, scheduled = "serial step", "fine_tune_blocks pair"
+    measures = {serial: serial_pair, scheduled: blocks,
                 f"{tasks}-task meta step": meta_steps}
     seconds, hashes = {}, {}
-    with procs, threads:
-        for _ in range(args.rounds):
-            for cell in cells:
-                for name, measure in measures.items():
-                    t0 = time.perf_counter()
-                    thetas = measure(cell)
-                    steps = args.steps * (PAIR if name == serial else 1)
-                    seconds.setdefault((cell, name), []).append(
-                        (time.perf_counter() - t0) / steps)
-                    got = [metalearn.theta_hash(t) for t in thetas]
-                    if hashes.setdefault((cell, name), got) != got:
-                        sys.exit(f"{cell} {name}: parameters differ between "
-                                 f"rounds")
+    for _ in range(args.rounds):
+        for cell in cells:
+            for name, measure in measures.items():
+                t0 = time.perf_counter()
+                thetas = measure(cell)
+                steps = args.steps * (PAIR if name == serial else 1)
+                seconds.setdefault((cell, name), []).append(
+                    (time.perf_counter() - t0) / steps)
+                got = [metalearn.theta_hash(t) for t in thetas]
+                if hashes.setdefault((cell, name), got) != got:
+                    sys.exit(f"{cell} {name}: parameters differ between "
+                             f"rounds")
 
     print(f"omlcae from {os.path.dirname(omlcae.__file__)}, numpy "
           f"{np.__version__}, width {cfg.hidden}, {args.rounds} round(s) of "
           f"{args.steps} steps; microseconds per step")
-    print(f"{'dtype':8s}{'shots':>5s}  {'measure':20s}{'median':>9s}"
+    print(f"{'dtype':8s}{'shots':>5s}  {'measure':22s}{'median':>9s}"
           f"{'min':>9s}{'max':>9s}{'speed-up':>9s}  sha256")
     for (cell, name), times in seconds.items():
         us = [t * 1e6 for t in times]
         speedup = PAIR * median(seconds[cell, serial]) / median(times)
-        speedup = f"{speedup:.2f}x" if name in pools else ""
-        print(f"{cell[0]:8s}{cell[1]:5d}  {name:20s}{median(us):9.1f}"
+        speedup = f"{speedup:.2f}x" if name == scheduled else ""
+        print(f"{cell[0]:8s}{cell[1]:5d}  {name:22s}{median(us):9.1f}"
               f"{min(us):9.1f}{max(us):9.1f}{speedup:>9s}  "
               f"{' '.join(h[:12] for h in hashes[cell, name])}")
     for cell in cells:
-        for name in pools:
-            if hashes[cell, name] != hashes[cell, serial]:
-                sys.exit(f"{cell}: the {name}'s fine-tunes differ from the "
-                         f"serial ones")
+        if hashes[cell, scheduled] != hashes[cell, serial]:
+            sys.exit(f"{cell}: the {scheduled}'s fine-tunes differ from the "
+                     f"serial ones")
 
 
 if __name__ == "__main__":
