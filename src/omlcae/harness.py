@@ -18,11 +18,13 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
 from .baselines import run_joint_cae, run_qpsk_mle, run_scratch_cae
 from .cae import CaeModel, codebook, transmit
+from . import metalearn
 from .channel import NoiseModel
 from .metalearn import (CellSettings, MetaConfig, RunConfig, online_run,
                         require_ints)
@@ -144,22 +146,114 @@ def _run_cell(cfg: ExperimentConfig, method: str, snr_db: float, shots: int):
 def run_experiment(cfg: ExperimentConfig):
     """Run the full (method, snr, shots) grid; returns the MetricsRecord list.
 
-    Grid cells are executed in deterministic order; per-sequence rows go to
-    metrics.csv and post-warm-up means to summary.csv under cfg.out_dir.
+    Cells run in one process per CPU (_run_cells) and are assembled in grid
+    order; per-sequence rows go to metrics.csv and post-warm-up means to
+    summary.csv under cfg.out_dir, byte for byte a serial run's.
     """
     cfg.validate()
-    records = []
-    for method in cfg.methods:
-        for snr in cfg.snr_db:
-            for shots in cfg.shots:
-                for seq, ser in _run_cell(cfg, method, snr, shots):
-                    records.append(MetricsRecord(method, snr, shots, seq,
-                                                 ser, cfg.seed))
+    cells = [(method, snr, shots) for method in cfg.methods
+             for snr in cfg.snr_db for shots in cfg.shots]
+    records = [MetricsRecord(method, snr, shots, seq, ser, cfg.seed)
+               for (method, snr, shots), rows in zip(cells,
+                                                     _run_cells(cfg, cells))
+               for seq, ser in rows]
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_metrics_csv(os.path.join(cfg.out_dir, "metrics.csv"), records)
     write_summary_csv(os.path.join(cfg.out_dir, "summary.csv"),
                       records, cfg.warmup)
     return records
+
+
+def _run_cells(cfg: ExperimentConfig, cells):
+    """[(sequence, ser)] rows of each (method, snr, shots) cell, in grid order.
+
+    The cells run in one process per CPU (metalearn.pool_cpus), the caller
+    counting as one: min(CPUs, cells) - 1 children are forked once, and each
+    pulls the next cell of the queue, the cells between the first and the
+    last in grid order, until it is empty, writing the cell's SERs into a
+    shared anonymous mmap.  The caller runs the first cell, pulls from the
+    same queue and then runs the last cell; between its cells it reaps the
+    children that have ended.  Each process fine-tunes inline.  A cell that
+    raises, in a child or in the caller, raises its exception in the caller
+    (a child sends it pickled through a pipe); a child that dies without
+    one raises RuntimeError naming its cell.  Whatever ends the grid, every
+    child still running is killed and reaped."""
+    workers = min(metalearn.pool_cpus(), len(cells))
+    if workers == 1:
+        return [_run_cell(cfg, *cell) for cell in cells]
+    import mmap  # imported only here: mmap and signal cost 1 ms
+    import pickle
+    import signal
+
+    def shared(n, dtype):  # n 8-byte entries that the children share
+        return np.frombuffer(mmap.mmap(-1, 8 * n), dtype)
+
+    last = len(cells) - 1
+    sers = shared(len(cells) * cfg.n_sequences, np.float64).reshape(
+        len(cells), cfg.n_sequences)
+    queue = shared(workers, np.int64)  # the next cell, then each child's cell
+    queue[0] = 1
+    token_r, token_w = os.pipe()  # holds one byte while no process pulls
+    os.write(token_w, b".")
+
+    def pull():  # the next queued cell, None once the queue is empty
+        os.read(token_r, 1)
+        cell = int(queue[0])
+        queue[0] = min(cell + 1, last)
+        os.write(token_w, b".")
+        return cell if cell < last else None
+
+    def child_cells(slot):
+        while (cell := pull()) is not None:
+            queue[slot] = cell
+            sers[cell] = [ser for _, ser in _run_cell(cfg, *cells[cell])]
+
+    def reap(pid, hang=False):  # a child that has ended, else nothing
+        done, status = os.waitpid(pid, 0 if hang else os.WNOHANG)
+        if not done:
+            return
+        errors, slot = children.pop(pid)
+        with open(errors, "rb") as f:  # a child's one write, at most
+            sent = f.read()
+        if sent:
+            raise pickle.loads(sent)
+        if status:
+            method, snr, shots = cells[queue[slot]]
+            raise RuntimeError(
+                f"{method}: cell at snr {snr:g} dB, shots {shots} failed in "
+                f"child process {pid} (exit code "
+                f"{os.waitstatus_to_exitcode(status)})")
+
+    rows, children = {}, {}
+    metalearn._in_grid_pool = True
+    try:
+        for slot in range(1, workers):
+            errors_r, errors_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                metalearn.run_in_child(partial(child_cells, slot), errors_w)
+            os.close(errors_w)
+            children[pid] = errors_r, slot
+        cell = 0
+        while cell is not None:
+            rows[cell] = _run_cell(cfg, *cells[cell])
+            for pid in list(children):
+                reap(pid)
+            cell = pull()
+        rows[last] = _run_cell(cfg, *cells[last])
+        for pid in list(children):
+            reap(pid, hang=True)
+    finally:
+        metalearn._in_grid_pool = False
+        for pid, (errors, _) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(errors)
+        os.close(token_r)
+        os.close(token_w)
+    return [rows[cell] if cell in rows else
+            [(i, float(ser)) for i, ser in enumerate(sers[cell], 1)]
+            for cell in range(len(cells))]
 
 
 def write_metrics_csv(path: str, records):

@@ -374,6 +374,20 @@ def theta_hash(theta: np.ndarray) -> str:
 # float64, 1 at the paper width, where a step is BLAS-bound
 FINE_TUNE_BLOCK_BYTES = 2 ** 20
 
+# set while harness.run_experiment runs cells in one process per CPU, so that
+# each of those processes fine-tunes inline, on its one CPU
+_in_grid_pool = False
+
+
+def pool_cpus() -> int:
+    """Processes a pool may run, the caller counting as one: the CPUs of
+    os.sched_getaffinity(0), else os.cpu_count(); 1 without os.fork and in
+    the processes of a grid pool."""
+    if _in_grid_pool or not hasattr(os, "fork"):
+        return 1
+    cpus = getattr(os, "sched_getaffinity", None)
+    return len(cpus(0)) if cpus else os.cpu_count() or 1
+
 
 def fine_tune_blocks(model: CaeModel, cfg: RunConfig, starts, row):
     """Fine-tune and score each (i, h, task, start theta) of the iterator
@@ -393,9 +407,7 @@ def fine_tune_blocks(model: CaeModel, cfg: RunConfig, starts, row):
     whatever ends the loop, children still in flight are killed, and every
     child is reaped."""
     width = max(1, FINE_TUNE_BLOCK_BYTES // model.params.nbytes)
-    cpus = getattr(os, "sched_getaffinity", None)  # else all of os.cpu_count()
-    workers = (1 if width > 1 or not hasattr(os, "fork") else
-               len(cpus(0)) if cpus else os.cpu_count() or 1)
+    workers = 1 if width > 1 else pool_cpus()
     if workers > 1:  # imported only here, as they cost 1.2 ms
         import mmap
         import signal
@@ -437,7 +449,8 @@ def fine_tune_blocks(model: CaeModel, cfg: RunConfig, starts, row):
                                       start.dtype).reshape(start.shape)
                 pid = os.fork()
                 if pid == 0:
-                    _fine_tune_in_child(fine_tune, start, tasks, tuned)
+                    run_in_child(lambda: np.copyto(tuned,
+                                                   fine_tune(start, tasks)))
                 children.add(pid)
             else:
                 try:
@@ -459,18 +472,30 @@ def fine_tune_blocks(model: CaeModel, cfg: RunConfig, starts, row):
     return rows
 
 
-def _fine_tune_in_child(fine_tune, start, tasks, out):
-    """A forked child's whole life: write fine_tune(start, tasks) into out,
-    the shared result, and exit 0, or print the traceback and exit 1.  It
-    never returns, so no frame or exit handler of the caller runs twice."""
+def run_in_child(work, errors: int = None):
+    """A forked child's whole life: call work() and exit 0.  If it raises,
+    write the pickled exception to the pipe descriptor errors and exit 1;
+    without errors, or for an exception that does not pickle into one
+    atomic pipe write, print the traceback instead.  It never returns, so no
+    frame or exit handler of the caller runs twice."""
     code = 1
     try:
-        out[...] = fine_tune(start, tasks)
+        work()
         code = 0
-    except BaseException:
-        import traceback  # only a failing child needs it
-        traceback.print_exc()
-        sys.stderr.flush()
+    except BaseException as e:
+        import pickle  # only a failing child needs these
+        import select
+        try:
+            sent = pickle.dumps(e)
+            pickle.loads(sent)  # as the caller will: some do not rebuild
+        except Exception:
+            sent = None
+        if errors is not None and sent and len(sent) <= select.PIPE_BUF:
+            os.write(errors, sent)
+        else:
+            import traceback
+            traceback.print_exc()
+            sys.stderr.flush()
     finally:
         os._exit(code)
 

@@ -5,15 +5,19 @@ import json
 import math
 import os
 import re
+import select
+import time
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from omlcae import metalearn
+from test_baselines import _allow_cpus, assert_no_child_left
+
+from omlcae import harness, metalearn
 from omlcae import rng as rngmod
 from omlcae.cae import CaeModel
-from omlcae.channel import NoiseModel, rayleigh_sample
+from omlcae.channel import NoiseModel, rayleigh_sample, snr_to_sigma2
 from omlcae.harness import (ExperimentConfig, MetricsRecord, apply_profile,
                             efficiency_analysis, export_constellation,
                             mean_efficiency_ratio, parse_config,
@@ -253,6 +257,225 @@ def test_run_experiment_deterministic_outputs(tmp_path):
         with open(tmp_path / "b" / name, "rb") as f:
             b = f.read()
         assert a == b, name
+
+
+def _grid_cells(cfg):
+    return [(m, snr, shots) for m in cfg.methods for snr in cfg.snr_db
+            for shots in cfg.shots]
+
+
+def _outputs(cfg):
+    records = run_experiment(cfg)
+    files = []
+    for name in ("metrics.csv", "summary.csv"):
+        with open(os.path.join(cfg.out_dir, name), "rb") as f:
+            files.append(f.read())
+    return records, files
+
+
+def test_pooled_cells_match_serial_in_grid_order(tmp_path, monkeypatch):
+    # with c CPUs, min(c, cells) - 1 children run cells beside the caller,
+    # which runs the first and the last cell; the records and both CSVs are
+    # a serial run's, byte for byte, and no child outlives the grid
+    in_caller, live, most = [], [0], [0]
+    fork, waitpid, run_cell = os.fork, os.waitpid, harness._run_cell
+
+    def logged(cfg, method, snr, shots):
+        in_caller.append((method, snr, shots))  # a child's dies with it
+        return run_cell(cfg, method, snr, shots)
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            live[0] += 1
+            most[0] = max(most[0], live[0])
+        return pid
+
+    def counted_waitpid(pid, options):
+        done, status = waitpid(pid, options)
+        live[0] -= done > 0
+        return done, status
+
+    monkeypatch.setattr(harness, "_run_cell", logged)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "waitpid", counted_waitpid)
+    grids = [dict(methods=("cae",)),
+             dict(methods=("oml_cae", "qpsk_mle")),
+             dict(methods=("joint_cae",), shots=(1, 2, 3, 4, 5)),
+             dict(methods=("oml_cae",), snr_db=tuple(range(7)))]
+    for n, grid in enumerate(grids):
+        cfg = tiny_cfg(tmp_path / f"serial-{n}", **grid)
+        cells = _grid_cells(cfg)
+        _allow_cpus(monkeypatch, {0})
+        want = _outputs(cfg)
+        for cpus in ({0}, {0, 1}, {0, 1, 2}):
+            _allow_cpus(monkeypatch, cpus)
+            in_caller.clear()
+            most[0] = 0
+            pooled = replace(cfg, out_dir=str(tmp_path / f"{n}-{len(cpus)}"))
+            assert _outputs(pooled) == want, (cells, cpus)
+            assert in_caller[0] == cells[0] and in_caller[-1] == cells[-1]
+            assert in_caller == sorted(in_caller, key=cells.index)
+            if len(cpus) == 1:
+                assert in_caller == cells
+            assert most[0] == min(len(cpus), len(cells)) - 1, (cells, cpus)
+            assert live[0] == 0
+            assert_no_child_left()
+
+
+def test_grid_pool_processes_fine_tune_inline(tmp_path, monkeypatch):
+    # one-sequence fine-tune blocks, as at the paper width: a grid of 2 or
+    # 3 cells at 2 CPUs forks its one grid child and no fine-tune child,
+    # while a one-cell grid still forks fine-tune children.  Every process
+    # writes a byte per fork into one pipe
+    monkeypatch.setattr(metalearn, "FINE_TUNE_BLOCK_BYTES", 1)
+    _allow_cpus(monkeypatch, {0, 1})
+    forks_r, forks_w = os.pipe()
+    fork = os.fork
+
+    def counted_fork():
+        os.write(forks_w, b".")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    try:
+        for shots, forks in (((1, 2), 1), ((1, 2, 3), 1), ((1,), 2)):
+            cfg = tiny_cfg(tmp_path / str(len(shots)), methods=("cae",),
+                           shots=shots, n_sequences=5)
+            run_experiment(cfg)
+            assert os.read(forks_r, 100) == b"." * forks, shots
+            assert_no_child_left()
+    finally:
+        os.close(forks_r)
+        os.close(forks_w)
+    assert not metalearn._in_grid_pool
+
+
+@pytest.fixture
+def three_cells_at_two_cpus(monkeypatch):
+    """Place a 3-cell grid's cells at 2 CPUs: the caller runs the first and
+    the last, and its first waits until the one child has started a cell,
+    so the child runs the middle one.  Yields the SNRs the caller ran."""
+    _allow_cpus(monkeypatch, {0, 1})
+    started_r, started_w = os.pipe()
+    caller, in_caller = os.getpid(), []
+
+    def place(run_cell):
+        def placed(cfg, method, snr, shots):
+            if os.getpid() != caller:
+                os.write(started_w, b".")
+            else:
+                if not in_caller:
+                    assert select.select([started_r], [], [], 60)[0], \
+                        "no child started a cell"
+                    os.read(started_r, 1)
+                in_caller.append(snr)
+            return run_cell(cfg, method, snr, shots)
+        monkeypatch.setattr(harness, "_run_cell", placed)
+        return in_caller
+
+    yield place
+    os.close(started_r)
+    os.close(started_w)
+
+
+# the 5 dB cell is the child's (the middle cell) or the caller's last
+PLACEMENTS = [((4.0, 5.0, 6.0), True), ((4.0, 6.0, 5.0), False)]
+
+
+@pytest.mark.parametrize("snr_db, in_child", PLACEMENTS)
+@pytest.mark.parametrize("method", ["oml_cae", "cae", "joint_cae"])
+def test_non_finite_parameters_fail_loudly_in_any_process(
+        tmp_path, three_cells_at_two_cpus, method, snr_db, in_child):
+    # only the 5 dB cell's fine-tune diverges; its error reads the same
+    # whether the caller or a child ran the cell
+    run_cell = harness._run_cell
+
+    def diverging(cfg, method, snr, shots):
+        if snr == 5.0:
+            cfg = replace(cfg, meta=replace(cfg.meta, inner_lr=1e4))
+        return run_cell(cfg, method, snr, shots)
+
+    in_caller = three_cells_at_two_cpus(diverging)
+    meta = MetaConfig(outer_iters=2, finetune_iters=20)
+    cfg = tiny_cfg(tmp_path, methods=(method,), meta=meta, snr_db=snr_db)
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError,
+            match=f"^{method}: .*snr 5 dB, shots 1, sequence 1$"):
+        run_experiment(cfg)
+    assert (5.0 not in in_caller) == in_child
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("snr_db, in_child", PLACEMENTS)
+@pytest.mark.parametrize("method", ["oml_cae", "cae", "joint_cae"])
+def test_non_finite_guard_names_a_sequence_inside_a_block_in_any_process(
+        tmp_path, monkeypatch, three_cells_at_two_cpus, method, snr_db,
+        in_child):
+    # the 5 dB cell's five sequences fine-tune in one stacked block, and
+    # only its sequence 3 has corrupted pilots; each process counts the
+    # 5 dB tasks it draws
+    make_task, seen = metalearn.make_pilot_task, []
+
+    def corrupt_third(model, h, sigma2, shots, rng, query_shots=None):
+        task = make_task(model, h, sigma2, shots, rng, query_shots)
+        if sigma2 == snr_to_sigma2(5.0):
+            if len(seen) == 2:
+                task.support[0] = np.nan
+            seen.append(task)
+        return task
+
+    monkeypatch.setattr(metalearn, "make_pilot_task", corrupt_third)
+    in_caller = three_cells_at_two_cpus(harness._run_cell)
+    cfg = tiny_cfg(tmp_path, methods=(method,), n_sequences=5, snr_db=snr_db)
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError,
+            match=f"^{method}: .*snr 5 dB, shots 1, sequence 3$"):
+        run_experiment(cfg)
+    assert (5.0 not in in_caller) == in_child
+    assert_no_child_left()
+
+
+def test_a_child_that_dies_names_its_cell(tmp_path, monkeypatch,
+                                          three_cells_at_two_cpus):
+    # a child that exits without sending an exception: RuntimeError naming
+    # the method, the cell, the pid and the exit code
+    run_cell = harness._run_cell
+
+    def dying(cfg, method, snr, shots):
+        if snr == 5.0:
+            os._exit(3)
+        return run_cell(cfg, method, snr, shots)
+
+    three_cells_at_two_cpus(dying)
+    cfg = tiny_cfg(tmp_path, methods=("cae",), snr_db=(4.0, 5.0, 6.0))
+    with pytest.raises(RuntimeError, match=r"^cae: cell at snr 5 dB, shots 1 "
+                       r"failed in child process \d+ \(exit code 3\)$"):
+        run_experiment(cfg)
+    assert_no_child_left()
+
+
+def test_an_interrupted_grid_kills_and_reaps_its_children(
+        tmp_path, three_cells_at_two_cpus):
+    # the caller's last cell is interrupted while the child's cell still
+    # runs: the interrupt reaches the caller, and the child is killed
+    run_cell = harness._run_cell
+
+    def stuck_or_interrupted(cfg, method, snr, shots):
+        if snr == 5.0:
+            time.sleep(600)
+        if snr == 6.0:
+            raise KeyboardInterrupt
+        return run_cell(cfg, method, snr, shots)
+
+    three_cells_at_two_cpus(stuck_or_interrupted)
+    cfg = tiny_cfg(tmp_path, methods=("cae",), snr_db=(4.0, 5.0, 6.0))
+    began = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_experiment(cfg)
+    assert time.monotonic() - began < 60
+    assert_no_child_left()
+    assert not metalearn._in_grid_pool
 
 
 def test_qpsk_high_snr_all_zero(tmp_path):

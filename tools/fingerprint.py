@@ -22,13 +22,14 @@ It prints one ``name sha256`` line per output, in a fixed order:
 ``online_run``, ``run_scratch_cae`` and ``run_joint_cae`` do, with a row that
 also hashes the fine-tuned theta.  Each cell keeps its profile's per-sequence
 meta budget.  Two runs of one checkout must print the same lines, and so must
-a run pinned to one CPU (``taskset -c 0 python3 tools/fingerprint.py``),
-where the paper-width fine-tunes all run in the calling process instead
-of one process per CPU, the caller and forked children it reaps (it scores
-every sequence in order, so the bits are a serial run's either way), and a
-run under ``MALLOC_PERTURB_=165``, where glibc fills freshly allocated
-memory with a byte pattern, so an entry read before it is written changes
-a line.  A change that keeps every output byte-identical prints the
+a run pinned to one CPU (``taskset -c 0 python3 tools/fingerprint.py``).
+There the ``cli/*`` grid runs its cells one after another and the
+paper-width fine-tunes all run in the calling process; on more CPUs both
+run in one process per CPU, the caller and forked children it reaps.  The
+caller assembles the cells in grid order and scores every sequence in
+order, so the bits are a serial run's either way.  So must a run under
+``MALLOC_PERTURB_=165``, where glibc fills freshly allocated memory with a
+byte pattern, so an entry read before it is written changes a line.  A change that keeps every output byte-identical prints the
 same lines as its parent.  BLAS runs on one thread.
 """
 
